@@ -4,12 +4,12 @@
 use crate::render::{Figure, Series};
 use crate::ENGINE_SEED;
 use fsf_core::{DedupMode, FilterPolicy, PubSubConfig, RankPolicy, SetFilterConfig};
-use fsf_engines::PubSubEngine;
+use fsf_engines::{PubSubProto, SimEngine};
 use fsf_workload::driver::run_engine;
 use fsf_workload::{ExperimentResult, ScenarioConfig, Workload};
 
 fn run_config(w: &Workload, name: &'static str, config: PubSubConfig) -> ExperimentResult {
-    let mut engine = PubSubEngine::new(name, w.topology.clone(), config);
+    let mut engine = SimEngine::new(w.topology.clone(), PubSubProto::new(name, config));
     run_engine(w, &mut engine)
 }
 

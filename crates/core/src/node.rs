@@ -245,6 +245,12 @@ impl PubSubNode {
         self.id
     }
 
+    /// The candidate-query implementation this node matches with.
+    #[must_use]
+    pub fn match_mode(&self) -> MatchMode {
+        self.config.match_mode
+    }
+
     /// The advertisement store (`DSA_*`), for inspection.
     #[must_use]
     pub fn adverts(&self) -> &AdvStore {

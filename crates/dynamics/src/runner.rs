@@ -99,8 +99,9 @@ pub fn run_plan_timed(engine: &mut dyn Engine, plan: &TimedPlan) -> u64 {
 /// [`run_plan`], recording one engine-level span per action into `sink`
 /// covering the action *and* the flush to quiescence it triggers — the
 /// window in which its matching, forwarding and re-splitting happen. Use
-/// with an engine built by [`fsf_engines::EngineKind::build_recorded`] so
-/// the spans land in the same trace as the message lifecycle.
+/// with an engine built with [`fsf_engines::EngineBuilder::sink`] on a
+/// clone of `sink` so the spans land in the same trace as the message
+/// lifecycle.
 pub fn run_plan_traced(engine: &mut dyn Engine, plan: &ChurnPlan, sink: &Recorder) {
     for action in &plan.actions {
         let start = engine.now();

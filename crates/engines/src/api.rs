@@ -1,39 +1,11 @@
 //! The uniform engine facade the experiment driver runs against.
 
-use crate::centralized::{CentralMsg, CentralNode};
-use crate::multijoin::{MjMsg, MjNode};
-use fsf_core::{PubSubConfig, PubSubMsg, PubSubNode};
+use crate::builder::EngineBuilder;
 use fsf_model::{Advertisement, Event, SensorId, SubId, Subscription};
 use fsf_network::{
-    Backend, DeliveryLog, LatencyModel, LatencySummary, NodeId, RegraftDelta, Simulator, Topology,
-    TopologyError, TrafficStats,
+    DeliveryLog, LatencySummary, NodeId, RegraftDelta, Topology, TopologyError, TrafficStats,
 };
-use fsf_runtime::HostMode;
-use fsf_subsumption::MatchMode;
-use fsf_telemetry::{Noop, Recorder, TelemetryEvent, TelemetrySink};
-use std::collections::BTreeMap;
-
-/// Record one engine-level span into a sink (callers guard on
-/// `S::ENABLED`). High-volume data-plane injections are *not* spanned —
-/// they already appear in the message lifecycle as `Scheduled` events; the
-/// engine track carries the control-plane verbs (retract, move, crash,
-/// recover) and the flush windows where matching and forwarding happen.
-fn record_op<S: TelemetrySink>(
-    sink: &S,
-    op: &str,
-    node: Option<NodeId>,
-    start: u64,
-    end: u64,
-    detail: String,
-) {
-    sink.record(TelemetryEvent::EngineOp {
-        op: op.to_string(),
-        node: node.map(|n| n.0),
-        start,
-        end,
-        detail,
-    });
-}
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One node's residual state, as reported by [`Engine::footprint`] — the
 /// quantities a fully torn-down network must return to zero (churn leak
@@ -103,14 +75,15 @@ pub struct RecoveryStats {
     pub control_injections: u64,
 }
 
-/// Shared engine-wrapper bookkeeping for the recovery management plane:
+/// Engine-wrapper bookkeeping for the recovery management plane, shared by
+/// both substrates and read by [`crate::Protocol`] when it plans repairs:
 /// which node hosts which sensor / subscription (the deployment's
 /// management view — node behaviors cannot tell a sensor hosted *on* the
 /// corpse from one advertised *through* it), the tombstones of everything
 /// that ever left, which crashes still await recovery, and the cumulative
 /// counters.
 #[derive(Debug)]
-pub(crate) struct RecoveryPlane {
+pub struct RecoveryPlane {
     pub(crate) auto: bool,
     pub(crate) pending: Vec<RegraftDelta>,
     pub(crate) crashes: u64,
@@ -131,11 +104,11 @@ pub(crate) struct RecoveryPlane {
     /// must be replayed; a re-announcement of a long-forgotten sensor is
     /// absorbed by the first node that no longer knows it, so the cost is
     /// proportional to actual staleness.
-    pub(crate) dead_sensors: std::collections::BTreeSet<SensorId>,
+    pub(crate) dead_sensors: BTreeSet<SensorId>,
     /// Tombstoned subscriptions, for the centralized baseline (the pub/sub
     /// family's corpse purge retraces severed operator removals on its
     /// own; the centre needs the cancellation re-sent).
-    pub(crate) dead_subs: std::collections::BTreeSet<SubId>,
+    pub(crate) dead_subs: BTreeSet<SubId>,
 }
 
 impl RecoveryPlane {
@@ -150,8 +123,8 @@ impl RecoveryPlane {
             sub_hosts: BTreeMap::new(),
             sensor_gens: BTreeMap::new(),
             moves: 0,
-            dead_sensors: std::collections::BTreeSet::new(),
-            dead_subs: std::collections::BTreeSet::new(),
+            dead_sensors: BTreeSet::new(),
+            dead_subs: BTreeSet::new(),
         }
     }
 
@@ -216,6 +189,22 @@ impl RecoveryPlane {
             self.pending.push(delta);
             None
         }
+    }
+
+    /// Feed a failure detector's confirmations into the plane: a confirmed
+    /// node whose crash is awaiting recovery has that crash's delta
+    /// returned for recovery now; a false confirmation (no crash record —
+    /// the node is alive behind a partition) matches nothing and is
+    /// dropped on the floor, its late pong having re-admitted it.
+    pub(crate) fn take_detected(&mut self, confirmed: &[NodeId]) -> Vec<RegraftDelta> {
+        if confirmed.is_empty() {
+            return Vec::new();
+        }
+        let (detected, pending) = std::mem::take(&mut self.pending)
+            .into_iter()
+            .partition(|d| confirmed.contains(&d.crashed));
+        self.pending = pending;
+        detected
     }
 
     /// Where to inject the tombstone re-announcements: the crash frontier
@@ -285,7 +274,7 @@ pub trait EngineData {
 }
 
 /// The **control plane** of an engine: churn (crashes, recovery) and
-/// execution knobs (partial advancement, sharding). One of the three
+/// partial advancement of the virtual clock. One of the three
 /// facets composed by [`Engine`].
 pub trait EngineControl {
     /// Crash `node`: re-graft its orphaned neighbors onto `anchor` (which
@@ -352,13 +341,6 @@ pub trait EngineControl {
     /// held-back future messages, so there `run_until` drains to
     /// quiescence like [`EngineData::flush`].
     fn run_until(&mut self, t: u64) -> u64;
-    /// Re-partition the underlying simulator's event queue into `shards`
-    /// subtree shards (conservative-parallel execution). Only legal on a
-    /// pristine engine — before any injection scheduled traffic; panics
-    /// otherwise. Zero-latency networks coalesce back to one effective
-    /// shard (their lookahead is zero). Async deployments fix their worker
-    /// count at build time and panic on any other value.
-    fn set_shards(&mut self, shards: usize);
 }
 
 /// The **read-only introspection** surface of an engine: cumulative
@@ -512,378 +494,6 @@ impl EngineKind {
             .seed(seed)
             .build()
     }
-
-    /// Build an engine whose network has real propagation delay: every send
-    /// is scheduled through `latency` on the discrete-event clock.
-    /// (Thin shim over [`EngineKind::builder`].)
-    #[must_use]
-    pub fn build_with_latency(
-        &self,
-        topology: Topology,
-        event_validity: u64,
-        seed: u64,
-        latency: LatencyModel,
-    ) -> Box<dyn Engine> {
-        self.builder(topology)
-            .validity(event_validity)
-            .seed(seed)
-            .latency(latency)
-            .build()
-    }
-
-    /// Build an engine with an explicit candidate-query implementation.
-    /// [`MatchMode::LinearScan`] keeps the per-operator scan alive as the
-    /// oracle the differential battery compares the arrangement against.
-    /// (Thin shim over [`EngineKind::builder`].)
-    #[must_use]
-    pub fn build_with_mode(
-        &self,
-        topology: Topology,
-        event_validity: u64,
-        seed: u64,
-        latency: LatencyModel,
-        mode: MatchMode,
-    ) -> Box<dyn Engine> {
-        self.builder(topology)
-            .validity(event_validity)
-            .seed(seed)
-            .latency(latency)
-            .match_mode(mode)
-            .build()
-    }
-
-    /// Build an engine whose network runs on `shards` event-queue shards
-    /// (conservative-parallel execution; 1 = the single-heap oracle). The
-    /// sharded backend delivers the same [`DeliveryLog`] as the oracle —
-    /// shard count is a performance knob, not a semantics knob. Note that a
-    /// zero-latency `latency` model has no lookahead and coalesces back to
-    /// one effective shard. (Thin shim over [`EngineKind::builder`].)
-    #[must_use]
-    pub fn build_sharded(
-        &self,
-        topology: Topology,
-        event_validity: u64,
-        seed: u64,
-        latency: LatencyModel,
-        shards: usize,
-    ) -> Box<dyn Engine> {
-        self.builder(topology)
-            .validity(event_validity)
-            .seed(seed)
-            .latency(latency)
-            .shards(shards)
-            .build()
-    }
-
-    /// Build an engine with full run telemetry: every message lifecycle
-    /// event, shard-round profile, and engine-level operation span lands in
-    /// the returned [`Recorder`] (which the caller keeps — the engine holds
-    /// clones sharing the same store). Pass `shards > 1` for the
-    /// conservative-parallel backend; events are recorded on the virtual
-    /// clock either way. Use [`Recorder::reconcile`] after a run to check
-    /// the trace against the simulator's own conservation counters, or the
-    /// `fsf-telemetry` exporters to write JSONL / Chrome trace JSON.
-    /// (Thin shim over [`EngineKind::builder`] + [`EngineBuilder::sink`].)
-    #[must_use]
-    pub fn build_recorded(
-        &self,
-        topology: Topology,
-        event_validity: u64,
-        seed: u64,
-        latency: LatencyModel,
-        shards: usize,
-    ) -> (Box<dyn Engine>, Recorder) {
-        let recorder = Recorder::new();
-        let engine = self
-            .builder(topology)
-            .validity(event_validity)
-            .seed(seed)
-            .latency(latency)
-            .shards(shards)
-            .sink(recorder.clone())
-            .build();
-        (engine, recorder)
-    }
-}
-
-/// Where an engine's nodes execute — the deployment axis of
-/// [`EngineBuilder`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Deploy {
-    /// The deterministic discrete-event simulator (default): virtual
-    /// clock, partial advancement, event-queue sharding, telemetry sinks.
-    Simulator,
-    /// The production host with one OS thread per node: bounded mailboxes,
-    /// backpressure, wire framing, per-link write batching.
-    Threaded,
-    /// The production host with nodes as async tasks multiplexed on the
-    /// vendored `miniloop` executor.
-    Async {
-        /// Executor worker threads (clamped to at least 1).
-        workers: usize,
-    },
-}
-
-/// Fluent construction for every engine family, deployment, and knob —
-/// the single path behind the legacy `build_*` shims:
-///
-/// ```ignore
-/// let engine = EngineKind::FilterSplitForward
-///     .builder(topology)
-///     .validity(1_000)
-///     .seed(42)
-///     .latency(LatencyModel::Uniform { hop: 2 })
-///     .match_mode(MatchMode::Arrangement)
-///     .deploy(Deploy::Async { workers: 4 })
-///     .build();
-/// ```
-///
-/// Knob interactions: [`EngineBuilder::shards`] and
-/// [`EngineBuilder::sink`] are simulator features (the builder panics if
-/// they are combined with a host deployment); [`EngineBuilder::mailbox`]
-/// only affects host deployments; a telemetry sink applies the match mode
-/// to the pub/sub family only (the centralized and multi-join recorded
-/// constructors predate match modes and keep their defaults).
-pub struct EngineBuilder {
-    kind: EngineKind,
-    topology: Topology,
-    event_validity: u64,
-    seed: u64,
-    latency: LatencyModel,
-    shards: usize,
-    mode: MatchMode,
-    sink: Option<Recorder>,
-    deploy: Deploy,
-    mailbox: usize,
-    heartbeat: Option<(u64, u64)>,
-}
-
-impl EngineBuilder {
-    /// Defaults: validity 1000, seed 7, zero latency, one shard, default
-    /// match mode, no sink, simulator deployment, 64-frame mailboxes, no
-    /// heartbeat failure detector.
-    #[must_use]
-    pub fn new(kind: EngineKind, topology: Topology) -> Self {
-        EngineBuilder {
-            kind,
-            topology,
-            event_validity: 1_000,
-            seed: 7,
-            latency: LatencyModel::Zero,
-            shards: 1,
-            mode: MatchMode::default(),
-            sink: None,
-            deploy: Deploy::Simulator,
-            mailbox: 64,
-            heartbeat: None,
-        }
-    }
-
-    /// Event-store validity horizon; must exceed the workload's largest
-    /// `δt` (§IV-B).
-    #[must_use]
-    pub fn validity(mut self, event_validity: u64) -> Self {
-        self.event_validity = event_validity;
-        self
-    }
-
-    /// Base RNG seed for the probabilistic set filter
-    /// (Filter-Split-Forward only).
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Per-link message latency model (virtual ticks).
-    #[must_use]
-    pub fn latency(mut self, latency: LatencyModel) -> Self {
-        self.latency = latency;
-        self
-    }
-
-    /// Event-queue shard count (simulator deployments only; 1 = the
-    /// single-heap deterministic oracle).
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Candidate-query implementation ([`MatchMode::LinearScan`] is the
-    /// differential-test oracle).
-    #[must_use]
-    pub fn match_mode(mut self, mode: MatchMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Record full run telemetry into `recorder` (simulator deployments
-    /// only; the engine holds clones sharing the same store).
-    #[must_use]
-    pub fn sink(mut self, recorder: Recorder) -> Self {
-        self.sink = Some(recorder);
-        self
-    }
-
-    /// Where the nodes execute (default [`Deploy::Simulator`]).
-    #[must_use]
-    pub fn deploy(mut self, deploy: Deploy) -> Self {
-        self.deploy = deploy;
-        self
-    }
-
-    /// Bounded mailbox capacity per node, in wire frames (host
-    /// deployments only; senders park when a mailbox is full).
-    #[must_use]
-    pub fn mailbox(mut self, frames: usize) -> Self {
-        self.mailbox = frames;
-        self
-    }
-
-    /// Enable the in-protocol heartbeat failure detector with the given
-    /// ping period and suspicion timeout, both in virtual ticks — see
-    /// [`EngineControl::set_liveness`]. Simulator deployments require the
-    /// single-shard backend (the builder panics on `shards > 1`); host
-    /// deployments probe on management-plane ticks instead.
-    #[must_use]
-    pub fn heartbeat(mut self, period: u64, timeout: u64) -> Self {
-        self.heartbeat = Some((period, timeout));
-        self
-    }
-
-    /// Construct the engine.
-    ///
-    /// # Panics
-    /// Panics when a telemetry sink or `shards > 1` is combined with a
-    /// host deployment — both are simulator features.
-    #[must_use]
-    pub fn build(self) -> Box<dyn Engine> {
-        let host_mode = match self.deploy {
-            Deploy::Simulator => return self.build_simulator(),
-            Deploy::Threaded => HostMode::ThreadPerNode,
-            Deploy::Async { workers } => HostMode::Executor {
-                workers: workers.max(1),
-            },
-        };
-        assert!(
-            self.sink.is_none(),
-            "run telemetry requires Deploy::Simulator (the host's nodes run concurrently; \
-             the virtual-clock lifecycle trace is a simulator feature)"
-        );
-        assert!(
-            self.shards == 1,
-            "event-queue sharding is a simulator knob; size the host with \
-             Deploy::Async {{ workers }} instead"
-        );
-        let mut engine = crate::async_engine::build_async(
-            &self.topology,
-            crate::async_engine::HostSpec {
-                kind: self.kind,
-                event_validity: self.event_validity,
-                seed: self.seed,
-                latency: self.latency,
-                mode: self.mode,
-                host_mode,
-                mailbox: self.mailbox.max(1),
-            },
-        );
-        if let Some((period, timeout)) = self.heartbeat {
-            engine.set_liveness(period, timeout);
-        }
-        engine
-    }
-
-    fn build_simulator(self) -> Box<dyn Engine> {
-        let EngineBuilder {
-            kind,
-            topology,
-            event_validity,
-            seed,
-            latency,
-            shards,
-            mode,
-            sink,
-            heartbeat,
-            ..
-        } = self;
-        let mut engine: Box<dyn Engine> = if let Some(sink) = sink {
-            match kind {
-                EngineKind::Centralized => Box::new(CentralEngine::with_sink(
-                    topology,
-                    event_validity,
-                    latency,
-                    sink,
-                )),
-                EngineKind::Naive => Box::new(PubSubEngine::with_sink(
-                    "Naive approach",
-                    topology,
-                    PubSubConfig::naive(event_validity, seed).with_match_mode(mode),
-                    latency,
-                    sink,
-                )),
-                EngineKind::OperatorPlacement => Box::new(PubSubEngine::with_sink(
-                    "Distributed operator placement",
-                    topology,
-                    PubSubConfig::operator_placement(event_validity, seed).with_match_mode(mode),
-                    latency,
-                    sink,
-                )),
-                EngineKind::MultiJoin => {
-                    Box::new(MjEngine::with_sink(topology, event_validity, latency, sink))
-                }
-                EngineKind::FilterSplitForward => Box::new(PubSubEngine::with_sink(
-                    "Filter-Split-Forward",
-                    topology,
-                    PubSubConfig::fsf(event_validity, seed).with_match_mode(mode),
-                    latency,
-                    sink,
-                )),
-            }
-        } else {
-            match kind {
-                EngineKind::Centralized => Box::new(CentralEngine::with_mode(
-                    topology,
-                    event_validity,
-                    latency,
-                    mode,
-                )),
-                EngineKind::Naive => Box::new(PubSubEngine::with_latency(
-                    "Naive approach",
-                    topology,
-                    PubSubConfig::naive(event_validity, seed).with_match_mode(mode),
-                    latency,
-                )),
-                EngineKind::OperatorPlacement => Box::new(PubSubEngine::with_latency(
-                    "Distributed operator placement",
-                    topology,
-                    PubSubConfig::operator_placement(event_validity, seed).with_match_mode(mode),
-                    latency,
-                )),
-                EngineKind::MultiJoin => {
-                    Box::new(MjEngine::with_mode(topology, event_validity, latency, mode))
-                }
-                EngineKind::FilterSplitForward => Box::new(PubSubEngine::with_latency(
-                    "Filter-Split-Forward",
-                    topology,
-                    PubSubConfig::fsf(event_validity, seed).with_match_mode(mode),
-                    latency,
-                )),
-            }
-        };
-        if shards > 1 {
-            engine.set_shards(shards);
-        }
-        if let Some((period, timeout)) = heartbeat {
-            assert!(
-                shards == 1,
-                "heartbeat liveness requires the single-shard backend \
-                 (suspicion timeouts ride the global virtual clock)"
-            );
-            engine.set_liveness(period, timeout);
-        }
-        engine
-    }
 }
 
 impl std::fmt::Display for EngineKind {
@@ -892,1068 +502,15 @@ impl std::fmt::Display for EngineKind {
     }
 }
 
-/// Engine wrapper for the `fsf-core` pub/sub node family (naive, operator
-/// placement, Filter-Split-Forward, and any ablation configuration).
-pub struct PubSubEngine<S: TelemetrySink = Noop> {
-    name: &'static str,
-    sim: Backend<PubSubNode, S>,
-    sink: S,
-    recovery: RecoveryPlane,
-}
-
-impl PubSubEngine {
-    /// Build with an explicit configuration (used for ablations), zero
-    /// latency.
-    #[must_use]
-    pub fn new(name: &'static str, topology: Topology, config: PubSubConfig) -> Self {
-        Self::with_latency(name, topology, config, LatencyModel::Zero)
-    }
-
-    /// Build with an explicit configuration and latency model.
-    #[must_use]
-    pub fn with_latency(
-        name: &'static str,
-        topology: Topology,
-        config: PubSubConfig,
-        latency: LatencyModel,
-    ) -> Self {
-        Self::with_sink(name, topology, config, latency, Noop)
-    }
-}
-
-impl<S: TelemetrySink> PubSubEngine<S> {
-    /// Build with an explicit configuration, latency model, and telemetry
-    /// sink. The sink sees the full message lifecycle plus engine-level
-    /// operation spans.
-    #[must_use]
-    pub fn with_sink(
-        name: &'static str,
-        topology: Topology,
-        config: PubSubConfig,
-        latency: LatencyModel,
-        sink: S,
-    ) -> Self {
-        let sim = Backend::build_with_sink(topology, latency, sink.clone(), 1, |id, _| {
-            PubSubNode::new(id, config)
-        });
-        PubSubEngine {
-            name,
-            sim,
-            sink,
-            recovery: RecoveryPlane::new(),
-        }
-    }
-
-    /// Run one crash's recovery: the node-level protocol (purge +
-    /// advertisement re-flood over the re-grafted tree), then the
-    /// management plane re-announces every tombstoned sensor at the crash
-    /// frontier — corpse-hosted sensors *and* earlier retractions whose
-    /// `AdvDown` flood the crash may have severed in flight; where the
-    /// retraction already completed, the re-announcement is absorbed by
-    /// the first node that no longer knows the sensor. Dead subscriptions
-    /// need no injection: the purge at the corpse's former neighbors
-    /// retraces their forwards (severed or not).
-    fn apply_recovery(&mut self, delta: &RegraftDelta) {
-        let start = self.sim.now();
-        self.sim.run_recovery(delta);
-        let frontier = RecoveryPlane::frontier(delta, |n| self.sim.is_down(n));
-        let tombstones: Vec<SensorId> = self.recovery.dead_sensors.iter().copied().collect();
-        for sensor in tombstones {
-            let gen = self.recovery.sensor_gens.get(&sensor).copied().unwrap_or(1);
-            for &node in &frontier {
-                self.sim.inject(node, PubSubMsg::AdvDown(sensor, gen));
-                self.recovery.control_injections += 1;
-            }
-        }
-        self.recovery.recoveries += 1;
-        if S::ENABLED {
-            record_op(
-                &self.sink,
-                "recover",
-                Some(delta.crashed),
-                start,
-                self.sim.now(),
-                format!("frontier {}", frontier.len()),
-            );
-        }
-    }
-
-    /// Feed the heartbeat detector's confirmations into the recovery
-    /// plane: a confirmed node whose crash is awaiting recovery gets that
-    /// recovery applied in-protocol; a false confirmation (no crash
-    /// record — the node is alive behind a partition) matches nothing and
-    /// is dropped on the floor, its late pong having re-admitted it.
-    fn drain_liveness(&mut self) {
-        let confirmed = self.sim.take_confirmed_dead();
-        if confirmed.is_empty() {
-            return;
-        }
-        let (detected, pending): (Vec<_>, Vec<_>) = std::mem::take(&mut self.recovery.pending)
-            .into_iter()
-            .partition(|d| confirmed.contains(&d.crashed));
-        self.recovery.pending = pending;
-        for delta in detected {
-            self.apply_recovery(&delta);
-        }
-    }
-
-    /// Access the underlying single-queue simulator (tests / inspection).
-    /// Panics when the sharded backend is active — switch back with
-    /// [`Engine::set_shards`]`(1)` first.
-    #[must_use]
-    pub fn simulator(&self) -> &Simulator<PubSubNode, S> {
-        self.sim.as_single()
-    }
-}
-
-impl<S: TelemetrySink> EngineData for PubSubEngine<S> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-    fn inject_sensor(&mut self, node: NodeId, adv: Advertisement) {
-        self.recovery.sensor_hosts.insert(adv.sensor, node);
-        self.sim.inject(node, PubSubMsg::SensorUp(adv));
-    }
-    fn inject_subscription(&mut self, node: NodeId, sub: Subscription) {
-        self.recovery.sub_hosts.insert(sub.id(), node);
-        self.sim.inject(node, PubSubMsg::Subscribe(sub));
-    }
-    fn inject_event(&mut self, node: NodeId, event: Event) {
-        self.sim.note_injection(event.id, self.sim.now());
-        self.sim.inject(node, PubSubMsg::Publish(event));
-    }
-    fn inject_events(&mut self, node: NodeId, events: Vec<Event>) {
-        if events.is_empty() {
-            return;
-        }
-        let now = self.sim.now();
-        for e in &events {
-            self.sim.note_injection(e.id, now);
-        }
-        // one framed injection: the node processes the frame in order and
-        // flushes one outgoing message per link for the whole tick
-        self.sim.inject(node, PubSubMsg::Events(events));
-    }
-    fn retract_subscription(&mut self, node: NodeId, sub: SubId) {
-        self.recovery.note_sub_retracted(sub);
-        self.sim.inject(node, PubSubMsg::Unsubscribe(sub));
-        if S::ENABLED {
-            let t = self.sim.now();
-            record_op(
-                &self.sink,
-                "retract-sub",
-                Some(node),
-                t,
-                t,
-                format!("{sub:?}"),
-            );
-        }
-    }
-    fn retract_sensor(&mut self, node: NodeId, sensor: SensorId) {
-        self.recovery.note_sensor_retracted(sensor);
-        self.sim.inject(node, PubSubMsg::SensorDown(sensor));
-        if S::ENABLED {
-            let t = self.sim.now();
-            record_op(
-                &self.sink,
-                "retract-sensor",
-                Some(node),
-                t,
-                t,
-                format!("{sensor:?}"),
-            );
-        }
-    }
-    fn move_sensor(&mut self, node: NodeId, adv: Advertisement) {
-        let gen = self.recovery.note_move(adv.sensor, node);
-        self.sim.inject(node, PubSubMsg::Move(adv, gen));
-        if S::ENABLED {
-            let t = self.sim.now();
-            record_op(
-                &self.sink,
-                "move",
-                Some(node),
-                t,
-                t,
-                format!("{:?} gen {gen}", adv.sensor),
-            );
-        }
-    }
-    fn flush(&mut self) {
-        let start = self.sim.now();
-        let before = self.sim.steps();
-        self.sim.run_to_quiescence();
-        self.drain_liveness();
-        if S::ENABLED {
-            record_op(
-                &self.sink,
-                "flush",
-                None,
-                start,
-                self.sim.now(),
-                format!("{} handled", self.sim.steps() - before),
-            );
-        }
-    }
-}
-
-impl<S: TelemetrySink> EngineControl for PubSubEngine<S> {
-    fn crash_node(&mut self, node: NodeId, anchor: NodeId) -> Result<(), TopologyError> {
-        let start = self.sim.now();
-        let delta = self.sim.crash_and_regraft(node, anchor)?;
-        if S::ENABLED {
-            record_op(
-                &self.sink,
-                "crash",
-                Some(node),
-                start,
-                self.sim.now(),
-                format!("anchor n{}, {} orphans", anchor.0, delta.orphans.len()),
-            );
-        }
-        if let Some(delta) = self.recovery.note_crash(delta) {
-            self.apply_recovery(&delta);
-        }
-        Ok(())
-    }
-    fn set_auto_recover(&mut self, on: bool) {
-        self.recovery.auto = on;
-    }
-    fn recover(&mut self) {
-        for delta in std::mem::take(&mut self.recovery.pending) {
-            self.apply_recovery(&delta);
-        }
-    }
-    fn sever_link(&mut self, a: NodeId, b: NodeId) -> Result<(), TopologyError> {
-        self.sim.sever_link(a, b)?;
-        if S::ENABLED {
-            let t = self.sim.now();
-            record_op(
-                &self.sink,
-                "sever",
-                None,
-                t,
-                t,
-                format!("n{} - n{}", a.0, b.0),
-            );
-        }
-        Ok(())
-    }
-    fn heal_link(&mut self, a: NodeId, b: NodeId) -> Result<(), TopologyError> {
-        let start = self.sim.now();
-        self.sim.heal_link(a, b)?;
-        if S::ENABLED {
-            record_op(
-                &self.sink,
-                "heal",
-                None,
-                start,
-                self.sim.now(),
-                format!("n{} - n{}", a.0, b.0),
-            );
-        }
-        Ok(())
-    }
-    fn set_liveness(&mut self, period: u64, timeout: u64) {
-        self.sim.set_liveness(period, timeout);
-    }
-    fn run_until(&mut self, t: u64) -> u64 {
-        let handled = self.sim.run_until(t);
-        self.drain_liveness();
-        handled
-    }
-    fn set_shards(&mut self, shards: usize) {
-        self.sim.set_shards(shards);
-    }
-}
-
-impl<S: TelemetrySink> EngineIntrospect for PubSubEngine<S> {
-    fn mobility_stats(&self) -> MobilityStats {
-        MobilityStats {
-            moves: self.recovery.moves,
-            handoff_msgs: self.sim.stats().handoff_msgs(),
-        }
-    }
-    fn recovery_stats(&self) -> RecoveryStats {
-        self.recovery.stats(self.sim.stats().recovery_msgs())
-    }
-    fn footprint(&self) -> Vec<NodeFootprint> {
-        let ids: Vec<NodeId> = self.sim.topology().nodes().collect();
-        ids.iter()
-            .filter(|&&id| !self.sim.is_down(id))
-            .map(|&id| {
-                let st = self.sim.node(id).storage_stats();
-                NodeFootprint {
-                    node: id,
-                    advertisements: st.advertisements,
-                    operators: st.total_operators(),
-                    stored_events: st.stored_events,
-                    routes: st.forwarded_routes,
-                }
-            })
-            .collect()
-    }
-    fn now(&self) -> u64 {
-        self.sim.now()
-    }
-    fn queue_depth(&self) -> usize {
-        self.sim.queue_depth()
-    }
-    fn latency_summary(&self) -> LatencySummary {
-        self.sim.deliveries().latency_summary()
-    }
-    fn stats(&self) -> &TrafficStats {
-        self.sim.stats()
-    }
-    fn deliveries(&self) -> &DeliveryLog {
-        self.sim.deliveries()
-    }
-    fn shards(&self) -> usize {
-        self.sim.shards()
-    }
-    fn steps(&self) -> u64 {
-        self.sim.steps()
-    }
-    fn scheduled_total(&self) -> u64 {
-        self.sim.scheduled_total()
-    }
-    fn dropped_from_queue(&self) -> u64 {
-        self.sim.dropped_from_queue()
-    }
-    fn dropped_severed(&self) -> u64 {
-        self.sim.dropped_severed()
-    }
-    fn suspicions(&self) -> Vec<(NodeId, NodeId)> {
-        self.sim.suspicions()
-    }
-}
-
-/// Engine wrapper for the multi-join baseline.
-pub struct MjEngine<S: TelemetrySink = Noop> {
-    sim: Backend<MjNode, S>,
-    sink: S,
-    recovery: RecoveryPlane,
-}
-
-impl MjEngine {
-    /// Build over a topology, zero latency.
-    #[must_use]
-    pub fn new(topology: Topology, event_validity: u64) -> Self {
-        Self::with_latency(topology, event_validity, LatencyModel::Zero)
-    }
-
-    /// Build over a topology with a latency model.
-    #[must_use]
-    pub fn with_latency(topology: Topology, event_validity: u64, latency: LatencyModel) -> Self {
-        Self::with_sink(topology, event_validity, latency, Noop)
-    }
-
-    /// Build with an explicit candidate-query implementation (the linear
-    /// scan is the differential-test oracle).
-    #[must_use]
-    pub fn with_mode(
-        topology: Topology,
-        event_validity: u64,
-        latency: LatencyModel,
-        mode: MatchMode,
-    ) -> Self {
-        let sim = Backend::build_with_sink(topology, latency, Noop, 1, move |id, _| {
-            MjNode::with_mode(id, event_validity, mode)
-        });
-        MjEngine {
-            sim,
-            sink: Noop,
-            recovery: RecoveryPlane::new(),
-        }
-    }
-}
-
-impl<S: TelemetrySink> MjEngine<S> {
-    /// Build over a topology with a latency model and telemetry sink.
-    #[must_use]
-    pub fn with_sink(
-        topology: Topology,
-        event_validity: u64,
-        latency: LatencyModel,
-        sink: S,
-    ) -> Self {
-        let sim = Backend::build_with_sink(topology, latency, sink.clone(), 1, |id, _| {
-            MjNode::new(id, event_validity)
-        });
-        MjEngine {
-            sim,
-            sink,
-            recovery: RecoveryPlane::new(),
-        }
-    }
-
-    /// Node-level introspection for tests (stores, adverts, forwards).
-    /// Panics when the sharded backend is active — switch back with
-    /// [`Engine::set_shards`]`(1)` first.
-    #[must_use]
-    pub fn simulator(&self) -> &Simulator<MjNode, S> {
-        self.sim.as_single()
-    }
-
-    /// One crash's recovery — see [`PubSubEngine::apply_recovery`]; the
-    /// multi-join protocol is analogous (purge + re-flood + tombstone
-    /// re-announcement at the crash frontier).
-    fn apply_recovery(&mut self, delta: &RegraftDelta) {
-        let start = self.sim.now();
-        self.sim.run_recovery(delta);
-        let frontier = RecoveryPlane::frontier(delta, |n| self.sim.is_down(n));
-        let tombstones: Vec<SensorId> = self.recovery.dead_sensors.iter().copied().collect();
-        for sensor in tombstones {
-            let gen = self.recovery.sensor_gens.get(&sensor).copied().unwrap_or(1);
-            for &node in &frontier {
-                self.sim.inject(node, MjMsg::AdvDown(sensor, gen));
-                self.recovery.control_injections += 1;
-            }
-        }
-        self.recovery.recoveries += 1;
-        if S::ENABLED {
-            record_op(
-                &self.sink,
-                "recover",
-                Some(delta.crashed),
-                start,
-                self.sim.now(),
-                format!("frontier {}", frontier.len()),
-            );
-        }
-    }
-
-    /// See [`PubSubEngine::drain_liveness`] — confirmed-dead nodes with a
-    /// crash awaiting recovery trigger it; false confirmations are ignored.
-    fn drain_liveness(&mut self) {
-        let confirmed = self.sim.take_confirmed_dead();
-        if confirmed.is_empty() {
-            return;
-        }
-        let (detected, pending): (Vec<_>, Vec<_>) = std::mem::take(&mut self.recovery.pending)
-            .into_iter()
-            .partition(|d| confirmed.contains(&d.crashed));
-        self.recovery.pending = pending;
-        for delta in detected {
-            self.apply_recovery(&delta);
-        }
-    }
-}
-
-impl<S: TelemetrySink> EngineData for MjEngine<S> {
-    fn name(&self) -> &'static str {
-        "Distributed multi-join"
-    }
-    fn inject_sensor(&mut self, node: NodeId, adv: Advertisement) {
-        self.recovery.sensor_hosts.insert(adv.sensor, node);
-        self.sim.inject(node, MjMsg::SensorUp(adv));
-    }
-    fn inject_subscription(&mut self, node: NodeId, sub: Subscription) {
-        self.recovery.sub_hosts.insert(sub.id(), node);
-        self.sim.inject(node, MjMsg::Subscribe(sub));
-    }
-    fn inject_event(&mut self, node: NodeId, event: Event) {
-        self.sim.note_injection(event.id, self.sim.now());
-        self.sim.inject(node, MjMsg::Publish(event));
-    }
-    fn inject_events(&mut self, node: NodeId, events: Vec<Event>) {
-        if events.is_empty() {
-            return;
-        }
-        let now = self.sim.now();
-        for e in &events {
-            self.sim.note_injection(e.id, now);
-        }
-        self.sim.inject(node, MjMsg::Events(events));
-    }
-    fn retract_subscription(&mut self, node: NodeId, sub: SubId) {
-        self.recovery.note_sub_retracted(sub);
-        self.sim.inject(node, MjMsg::Unsubscribe(sub));
-        if S::ENABLED {
-            let t = self.sim.now();
-            record_op(
-                &self.sink,
-                "retract-sub",
-                Some(node),
-                t,
-                t,
-                format!("{sub:?}"),
-            );
-        }
-    }
-    fn retract_sensor(&mut self, node: NodeId, sensor: SensorId) {
-        self.recovery.note_sensor_retracted(sensor);
-        self.sim.inject(node, MjMsg::SensorDown(sensor));
-        if S::ENABLED {
-            let t = self.sim.now();
-            record_op(
-                &self.sink,
-                "retract-sensor",
-                Some(node),
-                t,
-                t,
-                format!("{sensor:?}"),
-            );
-        }
-    }
-    fn move_sensor(&mut self, node: NodeId, adv: Advertisement) {
-        let gen = self.recovery.note_move(adv.sensor, node);
-        self.sim.inject(node, MjMsg::Move(adv, gen));
-        if S::ENABLED {
-            let t = self.sim.now();
-            record_op(
-                &self.sink,
-                "move",
-                Some(node),
-                t,
-                t,
-                format!("{:?} gen {gen}", adv.sensor),
-            );
-        }
-    }
-    fn flush(&mut self) {
-        let start = self.sim.now();
-        let before = self.sim.steps();
-        self.sim.run_to_quiescence();
-        self.drain_liveness();
-        if S::ENABLED {
-            record_op(
-                &self.sink,
-                "flush",
-                None,
-                start,
-                self.sim.now(),
-                format!("{} handled", self.sim.steps() - before),
-            );
-        }
-    }
-}
-
-impl<S: TelemetrySink> EngineControl for MjEngine<S> {
-    fn crash_node(&mut self, node: NodeId, anchor: NodeId) -> Result<(), TopologyError> {
-        let start = self.sim.now();
-        let delta = self.sim.crash_and_regraft(node, anchor)?;
-        if S::ENABLED {
-            record_op(
-                &self.sink,
-                "crash",
-                Some(node),
-                start,
-                self.sim.now(),
-                format!("anchor n{}, {} orphans", anchor.0, delta.orphans.len()),
-            );
-        }
-        if let Some(delta) = self.recovery.note_crash(delta) {
-            self.apply_recovery(&delta);
-        }
-        Ok(())
-    }
-    fn set_auto_recover(&mut self, on: bool) {
-        self.recovery.auto = on;
-    }
-    fn recover(&mut self) {
-        for delta in std::mem::take(&mut self.recovery.pending) {
-            self.apply_recovery(&delta);
-        }
-    }
-    fn sever_link(&mut self, a: NodeId, b: NodeId) -> Result<(), TopologyError> {
-        self.sim.sever_link(a, b)?;
-        if S::ENABLED {
-            let t = self.sim.now();
-            record_op(
-                &self.sink,
-                "sever",
-                None,
-                t,
-                t,
-                format!("n{} - n{}", a.0, b.0),
-            );
-        }
-        Ok(())
-    }
-    fn heal_link(&mut self, a: NodeId, b: NodeId) -> Result<(), TopologyError> {
-        let start = self.sim.now();
-        self.sim.heal_link(a, b)?;
-        if S::ENABLED {
-            record_op(
-                &self.sink,
-                "heal",
-                None,
-                start,
-                self.sim.now(),
-                format!("n{} - n{}", a.0, b.0),
-            );
-        }
-        Ok(())
-    }
-    fn set_liveness(&mut self, period: u64, timeout: u64) {
-        self.sim.set_liveness(period, timeout);
-    }
-    fn run_until(&mut self, t: u64) -> u64 {
-        let handled = self.sim.run_until(t);
-        self.drain_liveness();
-        handled
-    }
-    fn set_shards(&mut self, shards: usize) {
-        self.sim.set_shards(shards);
-    }
-}
-
-impl<S: TelemetrySink> EngineIntrospect for MjEngine<S> {
-    fn mobility_stats(&self) -> MobilityStats {
-        MobilityStats {
-            moves: self.recovery.moves,
-            handoff_msgs: self.sim.stats().handoff_msgs(),
-        }
-    }
-    fn recovery_stats(&self) -> RecoveryStats {
-        self.recovery.stats(self.sim.stats().recovery_msgs())
-    }
-    fn footprint(&self) -> Vec<NodeFootprint> {
-        let ids: Vec<NodeId> = self.sim.topology().nodes().collect();
-        ids.iter()
-            .filter(|&&id| !self.sim.is_down(id))
-            .map(|&id| {
-                let (advertisements, operators, stored_events, routes) =
-                    self.sim.node(id).state_counts();
-                NodeFootprint {
-                    node: id,
-                    advertisements,
-                    operators,
-                    stored_events,
-                    routes,
-                }
-            })
-            .collect()
-    }
-    fn now(&self) -> u64 {
-        self.sim.now()
-    }
-    fn queue_depth(&self) -> usize {
-        self.sim.queue_depth()
-    }
-    fn latency_summary(&self) -> LatencySummary {
-        self.sim.deliveries().latency_summary()
-    }
-    fn stats(&self) -> &TrafficStats {
-        self.sim.stats()
-    }
-    fn deliveries(&self) -> &DeliveryLog {
-        self.sim.deliveries()
-    }
-    fn shards(&self) -> usize {
-        self.sim.shards()
-    }
-    fn steps(&self) -> u64 {
-        self.sim.steps()
-    }
-    fn scheduled_total(&self) -> u64 {
-        self.sim.scheduled_total()
-    }
-    fn dropped_from_queue(&self) -> u64 {
-        self.sim.dropped_from_queue()
-    }
-    fn dropped_severed(&self) -> u64 {
-        self.sim.dropped_severed()
-    }
-    fn suspicions(&self) -> Vec<(NodeId, NodeId)> {
-        self.sim.suspicions()
-    }
-}
-
-/// Engine wrapper for the centralized baseline.
-pub struct CentralEngine<S: TelemetrySink = Noop> {
-    sim: Backend<CentralNode, S>,
-    sink: S,
-    recovery: RecoveryPlane,
-    /// Live subscriptions with their bodies — the centralized baseline's
-    /// repair path re-registers them (registrations dropped in flight
-    /// through the corpse are restored; the centre dedups by key).
-    subscriptions: BTreeMap<SubId, (NodeId, Subscription)>,
-}
-
-impl CentralEngine {
-    /// Build over a topology, zero latency; the centre is the graph median.
-    #[must_use]
-    pub fn new(topology: Topology, event_validity: u64) -> Self {
-        Self::with_latency(topology, event_validity, LatencyModel::Zero)
-    }
-
-    /// Build over a topology with a latency model.
-    #[must_use]
-    pub fn with_latency(topology: Topology, event_validity: u64, latency: LatencyModel) -> Self {
-        Self::with_sink(topology, event_validity, latency, Noop)
-    }
-
-    /// Build with an explicit candidate-query implementation for the centre
-    /// matcher (the linear scan is the differential-test oracle).
-    #[must_use]
-    pub fn with_mode(
-        topology: Topology,
-        event_validity: u64,
-        latency: LatencyModel,
-        mode: MatchMode,
-    ) -> Self {
-        let center = topology.median();
-        let sim = Backend::build_with_sink(topology, latency, Noop, 1, move |id, t| {
-            CentralNode::with_mode(id, t, center, event_validity, mode)
-        });
-        CentralEngine {
-            sim,
-            sink: Noop,
-            recovery: RecoveryPlane::new(),
-            subscriptions: BTreeMap::new(),
-        }
-    }
-}
-
-impl<S: TelemetrySink> CentralEngine<S> {
-    /// Build over a topology with a latency model and telemetry sink.
-    #[must_use]
-    pub fn with_sink(
-        topology: Topology,
-        event_validity: u64,
-        latency: LatencyModel,
-        sink: S,
-    ) -> Self {
-        let center = topology.median();
-        let sim = Backend::build_with_sink(topology, latency, sink.clone(), 1, move |id, t| {
-            CentralNode::new(id, t, center, event_validity)
-        });
-        CentralEngine {
-            sim,
-            sink,
-            recovery: RecoveryPlane::new(),
-            subscriptions: BTreeMap::new(),
-        }
-    }
-
-    /// Access the underlying single-queue simulator (tests / inspection).
-    /// Panics when the sharded backend is active — switch back with
-    /// [`Engine::set_shards`]`(1)` first.
-    #[must_use]
-    pub fn simulator(&self) -> &Simulator<CentralNode, S> {
-        self.sim.as_single()
-    }
-
-    /// The centralized repair path: the next-hop tables were already
-    /// refreshed at the crash (`on_topology_change`), so recovery is pure
-    /// management plane — re-send every tombstoned retraction toward the
-    /// centre (a cancellation or sensor departure dropped in flight
-    /// through the corpse must reach it; completed ones are idempotent
-    /// no-ops there), then re-register every live subscription so dropped
-    /// registrations are restored. Injections go to a live frontier node;
-    /// a crashed centre is unrecoverable for this baseline by design.
-    fn apply_recovery(&mut self, delta: &RegraftDelta) {
-        let start = self.sim.now();
-        self.sim.run_recovery(delta);
-        let frontier = RecoveryPlane::frontier(delta, |n| self.sim.is_down(n));
-        if let Some(&via) = frontier.first() {
-            let sensors: Vec<SensorId> = self.recovery.dead_sensors.iter().copied().collect();
-            for sensor in sensors {
-                self.sim.inject(via, CentralMsg::SensorDownToCenter(sensor));
-                self.recovery.control_injections += 1;
-            }
-            let subs: Vec<SubId> = self.recovery.dead_subs.iter().copied().collect();
-            for sub in subs {
-                self.sim.inject(via, CentralMsg::UnsubToCenter(sub));
-                self.recovery.control_injections += 1;
-            }
-        }
-        let live: Vec<(NodeId, Subscription)> = self.subscriptions.values().cloned().collect();
-        for (node, sub) in live {
-            self.sim.inject(node, CentralMsg::Subscribe(sub));
-            self.recovery.control_injections += 1;
-        }
-        self.recovery.recoveries += 1;
-        if S::ENABLED {
-            record_op(
-                &self.sink,
-                "recover",
-                Some(delta.crashed),
-                start,
-                self.sim.now(),
-                format!("frontier {}", frontier.len()),
-            );
-        }
-    }
-
-    /// See [`PubSubEngine::drain_liveness`] — confirmed-dead nodes with a
-    /// crash awaiting recovery trigger it; false confirmations are ignored.
-    fn drain_liveness(&mut self) {
-        let confirmed = self.sim.take_confirmed_dead();
-        if confirmed.is_empty() {
-            return;
-        }
-        let (detected, pending): (Vec<_>, Vec<_>) = std::mem::take(&mut self.recovery.pending)
-            .into_iter()
-            .partition(|d| confirmed.contains(&d.crashed));
-        self.recovery.pending = pending;
-        for delta in detected {
-            self.apply_recovery(&delta);
-        }
-    }
-}
-
-impl<S: TelemetrySink> EngineData for CentralEngine<S> {
-    fn name(&self) -> &'static str {
-        "Centralized"
-    }
-    fn inject_sensor(&mut self, node: NodeId, adv: Advertisement) {
-        // the centralized scheme needs no advertisements (sensors stream to
-        // the centre unconditionally), but the management plane still
-        // records the host so a crash can garbage-collect its readings
-        self.recovery.sensor_hosts.insert(adv.sensor, node);
-    }
-    fn inject_subscription(&mut self, node: NodeId, sub: Subscription) {
-        self.recovery.sub_hosts.insert(sub.id(), node);
-        self.subscriptions.insert(sub.id(), (node, sub.clone()));
-        self.sim.inject(node, CentralMsg::Subscribe(sub));
-    }
-    fn inject_event(&mut self, node: NodeId, event: Event) {
-        self.sim.note_injection(event.id, self.sim.now());
-        self.sim.inject(node, CentralMsg::Publish(event));
-    }
-    fn retract_subscription(&mut self, node: NodeId, sub: SubId) {
-        self.recovery.note_sub_retracted(sub);
-        self.subscriptions.remove(&sub);
-        self.sim.inject(node, CentralMsg::Unsubscribe(sub));
-        if S::ENABLED {
-            let t = self.sim.now();
-            record_op(
-                &self.sink,
-                "retract-sub",
-                Some(node),
-                t,
-                t,
-                format!("{sub:?}"),
-            );
-        }
-    }
-    fn retract_sensor(&mut self, node: NodeId, sensor: SensorId) {
-        self.recovery.note_sensor_retracted(sensor);
-        self.sim.inject(node, CentralMsg::SensorDown(sensor));
-        if S::ENABLED {
-            let t = self.sim.now();
-            record_op(
-                &self.sink,
-                "retract-sensor",
-                Some(node),
-                t,
-                t,
-                format!("{sensor:?}"),
-            );
-        }
-    }
-    fn move_sensor(&mut self, node: NodeId, adv: Advertisement) {
-        // the centre's subscription table is location-independent, so the
-        // handoff is management-plane (host re-home) plus the fresh-epoch
-        // notice toward the centre; the generation is tracked for parity
-        let gen = self.recovery.note_move(adv.sensor, node);
-        self.sim.inject(node, CentralMsg::Move(adv.sensor));
-        if S::ENABLED {
-            let t = self.sim.now();
-            record_op(
-                &self.sink,
-                "move",
-                Some(node),
-                t,
-                t,
-                format!("{:?} gen {gen}", adv.sensor),
-            );
-        }
-    }
-    fn flush(&mut self) {
-        let start = self.sim.now();
-        let before = self.sim.steps();
-        self.sim.run_to_quiescence();
-        self.drain_liveness();
-        if S::ENABLED {
-            record_op(
-                &self.sink,
-                "flush",
-                None,
-                start,
-                self.sim.now(),
-                format!("{} handled", self.sim.steps() - before),
-            );
-        }
-    }
-}
-
-impl<S: TelemetrySink> EngineControl for CentralEngine<S> {
-    fn crash_node(&mut self, node: NodeId, anchor: NodeId) -> Result<(), TopologyError> {
-        let start = self.sim.now();
-        let delta = self.sim.crash_and_regraft(node, anchor)?;
-        if S::ENABLED {
-            record_op(
-                &self.sink,
-                "crash",
-                Some(node),
-                start,
-                self.sim.now(),
-                format!("anchor n{}, {} orphans", anchor.0, delta.orphans.len()),
-            );
-        }
-        self.subscriptions.retain(|_, (n, _)| *n != node);
-        if let Some(delta) = self.recovery.note_crash(delta) {
-            self.apply_recovery(&delta);
-        }
-        Ok(())
-    }
-    fn set_auto_recover(&mut self, on: bool) {
-        self.recovery.auto = on;
-    }
-    fn recover(&mut self) {
-        for delta in std::mem::take(&mut self.recovery.pending) {
-            self.apply_recovery(&delta);
-        }
-    }
-    fn sever_link(&mut self, a: NodeId, b: NodeId) -> Result<(), TopologyError> {
-        self.sim.sever_link(a, b)?;
-        if S::ENABLED {
-            let t = self.sim.now();
-            record_op(
-                &self.sink,
-                "sever",
-                None,
-                t,
-                t,
-                format!("n{} - n{}", a.0, b.0),
-            );
-        }
-        Ok(())
-    }
-    fn heal_link(&mut self, a: NodeId, b: NodeId) -> Result<(), TopologyError> {
-        let start = self.sim.now();
-        let was_severed = self.sim.topology().is_severed(a, b);
-        self.sim.heal_link(a, b)?;
-        if !was_severed {
-            return Ok(());
-        }
-        // The centre's tables are only reachable-side complete after a
-        // partition; the node-level `on_link_up` has nothing to exchange
-        // (this baseline keeps no per-link routing state), so the heal is
-        // management plane — mirror `apply_recovery`: re-send tombstoned
-        // retractions toward the centre through both heal endpoints
-        // (idempotent where they already arrived), then re-register every
-        // live subscription so registrations dropped at the severed radio
-        // are restored (the centre dedups by key).
-        for via in [a, b] {
-            if self.sim.is_down(via) {
-                continue;
-            }
-            let sensors: Vec<SensorId> = self.recovery.dead_sensors.iter().copied().collect();
-            for sensor in sensors {
-                self.sim.inject(via, CentralMsg::SensorDownToCenter(sensor));
-                self.recovery.control_injections += 1;
-            }
-            let subs: Vec<SubId> = self.recovery.dead_subs.iter().copied().collect();
-            for sub in subs {
-                self.sim.inject(via, CentralMsg::UnsubToCenter(sub));
-                self.recovery.control_injections += 1;
-            }
-        }
-        let live: Vec<(NodeId, Subscription)> = self.subscriptions.values().cloned().collect();
-        for (node, sub) in live {
-            self.sim.inject(node, CentralMsg::Subscribe(sub));
-            self.recovery.control_injections += 1;
-        }
-        if S::ENABLED {
-            record_op(
-                &self.sink,
-                "heal",
-                None,
-                start,
-                self.sim.now(),
-                format!("n{} - n{}", a.0, b.0),
-            );
-        }
-        Ok(())
-    }
-    fn set_liveness(&mut self, period: u64, timeout: u64) {
-        self.sim.set_liveness(period, timeout);
-    }
-    fn run_until(&mut self, t: u64) -> u64 {
-        let handled = self.sim.run_until(t);
-        self.drain_liveness();
-        handled
-    }
-    fn set_shards(&mut self, shards: usize) {
-        self.sim.set_shards(shards);
-    }
-}
-
-impl<S: TelemetrySink> EngineIntrospect for CentralEngine<S> {
-    fn mobility_stats(&self) -> MobilityStats {
-        MobilityStats {
-            moves: self.recovery.moves,
-            handoff_msgs: self.sim.stats().handoff_msgs(),
-        }
-    }
-    fn recovery_stats(&self) -> RecoveryStats {
-        self.recovery.stats(self.sim.stats().recovery_msgs())
-    }
-    fn footprint(&self) -> Vec<NodeFootprint> {
-        let ids: Vec<NodeId> = self.sim.topology().nodes().collect();
-        ids.iter()
-            .filter(|&&id| !self.sim.is_down(id))
-            .map(|&id| {
-                let n = self.sim.node(id);
-                NodeFootprint {
-                    node: id,
-                    advertisements: 0, // the centralized scheme keeps none
-                    operators: n.registered_subs(),
-                    stored_events: n.stored_events(),
-                    routes: 0,
-                }
-            })
-            .collect()
-    }
-    fn now(&self) -> u64 {
-        self.sim.now()
-    }
-    fn queue_depth(&self) -> usize {
-        self.sim.queue_depth()
-    }
-    fn latency_summary(&self) -> LatencySummary {
-        self.sim.deliveries().latency_summary()
-    }
-    fn stats(&self) -> &TrafficStats {
-        self.sim.stats()
-    }
-    fn deliveries(&self) -> &DeliveryLog {
-        self.sim.deliveries()
-    }
-    fn shards(&self) -> usize {
-        self.sim.shards()
-    }
-    fn steps(&self) -> u64 {
-        self.sim.steps()
-    }
-    fn scheduled_total(&self) -> u64 {
-        self.sim.scheduled_total()
-    }
-    fn dropped_from_queue(&self) -> u64 {
-        self.sim.dropped_from_queue()
-    }
-    fn dropped_severed(&self) -> u64 {
-        self.sim.dropped_severed()
-    }
-    fn suspicions(&self) -> Vec<(NodeId, NodeId)> {
-        self.sim.suspicions()
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use fsf_model::{AttrId, EventId, Point, SensorId, SubId, Timestamp, ValueRange};
-    use fsf_network::builders;
+    use fsf_network::{builders, LatencyModel};
 
     const DT: u64 = 30;
 
-    fn adv(sensor: u32, attr: u16) -> Advertisement {
+    pub(crate) fn adv(sensor: u32, attr: u16) -> Advertisement {
         Advertisement {
             sensor: SensorId(sensor),
             attr: AttrId(attr),
@@ -1961,7 +518,7 @@ mod tests {
         }
     }
 
-    fn sub(id: u64, filters: &[(u32, f64, f64)]) -> Subscription {
+    pub(crate) fn sub(id: u64, filters: &[(u32, f64, f64)]) -> Subscription {
         Subscription::identified(
             SubId(id),
             filters
@@ -1972,7 +529,7 @@ mod tests {
         .unwrap()
     }
 
-    fn ev(id: u64, sensor: u32, attr: u16, v: f64, t: u64) -> Event {
+    pub(crate) fn ev(id: u64, sensor: u32, attr: u16, v: f64, t: u64) -> Event {
         Event {
             id: EventId(id),
             sensor: SensorId(sensor),
@@ -2079,7 +636,12 @@ mod tests {
     fn latency_build_keeps_results_and_measures_delay() {
         for kind in EngineKind::ALL {
             let run = |latency: LatencyModel| {
-                let mut e = kind.build_with_latency(builders::balanced(9, 2), 2 * DT, 7, latency);
+                let mut e = kind
+                    .builder(builders::balanced(9, 2))
+                    .validity(2 * DT)
+                    .seed(7)
+                    .latency(latency)
+                    .build();
                 e.inject_sensor(NodeId(5), adv(1, 0));
                 e.inject_sensor(NodeId(6), adv(2, 1));
                 e.flush();

@@ -2,18 +2,12 @@
 //! task (or dedicated thread) on [`fsf_runtime::NodeHost`], with bounded
 //! mailboxes, backpressure, wire framing and per-link write batching.
 //!
-//! [`AsyncEngine`] implements the full [`Engine`] facade (all three
+//! [`AsyncEngine`] implements the full [`crate::Engine`] facade (all three
 //! facets), so a host-backed engine is a drop-in replacement for the
 //! simulator-backed ones — the three-way equivalence battery holds all
 //! deployments to the same [`DeliveryLog`]. The per-family differences
-//! (message constructors, recovery protocol, footprint extraction) are
-//! factored into [`DeployProto`], mirroring the simulator engines in
-//! `api.rs` exactly:
-//!
-//! * pub/sub family and multi-join: recovery re-announces every tombstoned
-//!   sensor (`AdvDown`) at the crash frontier;
-//! * centralized: retractions dropped in flight are re-sent toward the
-//!   centre and every live subscription is re-registered at its home node.
+//! (message constructors, recovery protocol, footprint extraction) come
+//! from the same [`Protocol`] impls the simulator engine runs.
 //!
 //! Differences inherent to a free-running deployment (vs the virtual
 //! clock): `run_until` drains to quiescence — there is no held-back
@@ -23,69 +17,19 @@
 //! as every battery already does).
 
 use crate::api::{
-    Engine, EngineControl, EngineData, EngineIntrospect, EngineKind, MobilityStats, NodeFootprint,
-    RecoveryPlane, RecoveryStats,
+    EngineControl, EngineData, EngineIntrospect, MobilityStats, NodeFootprint, RecoveryPlane,
+    RecoveryStats,
 };
-use crate::centralized::{CentralMsg, CentralNode};
-use crate::multijoin::{MjMsg, MjNode};
-use fsf_core::{PubSubConfig, PubSubMsg, PubSubNode};
+use crate::protocol::Protocol;
 use fsf_model::{Advertisement, Event, SensorId, SubId, Subscription};
 use fsf_network::{
-    DeliveryLog, LatencyModel, LatencySummary, NodeBehavior, NodeId, RegraftDelta, Topology,
-    TopologyError, TrafficStats,
+    DeliveryLog, LatencyModel, LatencySummary, NodeId, RegraftDelta, Topology, TopologyError,
+    TrafficStats,
 };
-use fsf_runtime::{HostConfig, HostMode, NodeHost, WireMsg};
-use fsf_subsumption::MatchMode;
-use std::collections::BTreeMap;
-
-/// Per-family glue between the uniform [`Engine`] facade and the node
-/// behavior running on the host: message constructors, recovery-plan
-/// injections, footprint extraction.
-pub(crate) trait DeployProto: Send + 'static {
-    /// The node behavior deployed on every topology node.
-    type Node: NodeBehavior<Msg = Self::Msg> + Send + 'static;
-    /// The family's wire message enum.
-    type Msg: WireMsg + Clone + std::fmt::Debug + Send + 'static;
-
-    fn name(&self) -> &'static str;
-    fn make_node(&self, id: NodeId, topo: &Topology) -> Self::Node;
-    /// `None` when the family sends no advertisement (centralized).
-    fn msg_sensor_up(&self, adv: Advertisement) -> Option<Self::Msg>;
-    fn msg_subscribe(&mut self, node: NodeId, sub: Subscription) -> Self::Msg;
-    fn msg_publish(&self, event: Event) -> Self::Msg;
-    /// `Err(events)` when the family has no multi-event frame (the engine
-    /// falls back to per-event injection).
-    fn msg_events(&self, events: Vec<Event>) -> Result<Self::Msg, Vec<Event>>;
-    fn msg_unsubscribe(&mut self, sub: SubId) -> Self::Msg;
-    fn msg_sensor_down(&self, sensor: SensorId) -> Self::Msg;
-    fn msg_move(&self, adv: Advertisement, gen: u64) -> Self::Msg;
-    /// Residual-state counters read on the node's own task.
-    fn footprint_of(node: &Self::Node, id: NodeId) -> NodeFootprint;
-    /// Engine-level bookkeeping at a crash (before recovery planning).
-    fn on_crash(&mut self, _corpse: NodeId) {}
-    /// The management-plane injections completing one crash's recovery,
-    /// mirroring the family's `apply_recovery` in `api.rs`.
-    fn recovery_injections(
-        &self,
-        plane: &RecoveryPlane,
-        frontier: &[NodeId],
-    ) -> Vec<(NodeId, Self::Msg)>;
-    /// The management-plane injections completing one heal's
-    /// reconciliation, mirroring the family's `heal_link` in `api.rs`.
-    /// Most families reconcile in-protocol through
-    /// [`fsf_network::NodeBehavior::on_link_up`] and need none; the
-    /// centralized baseline re-sends retractions and re-registrations.
-    fn heal_injections(
-        &self,
-        _plane: &RecoveryPlane,
-        _endpoints: (NodeId, NodeId),
-    ) -> Vec<(NodeId, Self::Msg)> {
-        Vec::new()
-    }
-}
+use fsf_runtime::{HostConfig, HostMode, NodeHost};
 
 /// An engine running its nodes on the production [`NodeHost`].
-pub(crate) struct AsyncEngine<P: DeployProto> {
+pub(crate) struct AsyncEngine<P: Protocol> {
     proto: P,
     host: NodeHost<P::Node>,
     recovery: RecoveryPlane,
@@ -99,7 +43,7 @@ pub(crate) struct AsyncEngine<P: DeployProto> {
     deliveries_cache: DeliveryLog,
 }
 
-impl<P: DeployProto> AsyncEngine<P> {
+impl<P: Protocol> AsyncEngine<P> {
     pub(crate) fn new(
         proto: P,
         topology: &Topology,
@@ -144,23 +88,19 @@ impl<P: DeployProto> AsyncEngine<P> {
         self.recovery.recoveries += 1;
     }
 
-    /// One probe round of the host's failure detector plus the drain:
-    /// confirmed-dead nodes with a crash awaiting recovery trigger it
-    /// in-protocol; false confirmations match no crash record and are
-    /// ignored (see `PubSubEngine::drain_liveness` in `api.rs`).
+    /// One probe round of the host's failure detector, its confirmations
+    /// fed into the recovery plane, and the drain of whatever recovery
+    /// traffic that started.
     fn drain_liveness(&mut self) {
         if !self.liveness_on {
             return;
         }
         self.host.liveness_tick();
         let confirmed = self.host.take_confirmed_dead();
-        if confirmed.is_empty() {
+        let detected = self.recovery.take_detected(&confirmed);
+        if detected.is_empty() {
             return;
         }
-        let (detected, pending): (Vec<_>, Vec<_>) = std::mem::take(&mut self.recovery.pending)
-            .into_iter()
-            .partition(|d| confirmed.contains(&d.crashed));
-        self.recovery.pending = pending;
         for delta in detected {
             self.apply_recovery(&delta);
         }
@@ -168,7 +108,7 @@ impl<P: DeployProto> AsyncEngine<P> {
     }
 }
 
-impl<P: DeployProto> EngineData for AsyncEngine<P> {
+impl<P: Protocol> EngineData for AsyncEngine<P> {
     fn name(&self) -> &'static str {
         self.proto.name()
     }
@@ -227,7 +167,7 @@ impl<P: DeployProto> EngineData for AsyncEngine<P> {
     }
 }
 
-impl<P: DeployProto> EngineControl for AsyncEngine<P> {
+impl<P: Protocol> EngineControl for AsyncEngine<P> {
     fn crash_node(&mut self, node: NodeId, anchor: NodeId) -> Result<(), TopologyError> {
         // the host crashes at quiescence: in-flight traffic is drained, so
         // nothing queued-to-corpse needs purging (the simulator's purge
@@ -291,17 +231,9 @@ impl<P: DeployProto> EngineControl for AsyncEngine<P> {
         self.refresh();
         self.host.ledger().handled - before
     }
-    fn set_shards(&mut self, shards: usize) {
-        assert!(
-            shards == self.workers,
-            "the async host fixes its worker count at build time ({} workers); \
-             rebuild with EngineBuilder::deploy(Deploy::Async {{ workers }})",
-            self.workers
-        );
-    }
 }
 
-impl<P: DeployProto> EngineIntrospect for AsyncEngine<P> {
+impl<P: Protocol> EngineIntrospect for AsyncEngine<P> {
     fn mobility_stats(&self) -> MobilityStats {
         MobilityStats {
             moves: self.recovery.moves,
@@ -367,312 +299,5 @@ impl<P: DeployProto> EngineIntrospect for AsyncEngine<P> {
     }
     fn suspicions(&self) -> Vec<(NodeId, NodeId)> {
         self.host.suspicions()
-    }
-}
-
-/// Proto for the `fsf-core` pub/sub family (naive, operator placement,
-/// Filter-Split-Forward).
-pub(crate) struct PubSubProto {
-    name: &'static str,
-    config: PubSubConfig,
-}
-
-impl DeployProto for PubSubProto {
-    type Node = PubSubNode;
-    type Msg = PubSubMsg;
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-    fn make_node(&self, id: NodeId, _topo: &Topology) -> PubSubNode {
-        PubSubNode::new(id, self.config)
-    }
-    fn msg_sensor_up(&self, adv: Advertisement) -> Option<PubSubMsg> {
-        Some(PubSubMsg::SensorUp(adv))
-    }
-    fn msg_subscribe(&mut self, _node: NodeId, sub: Subscription) -> PubSubMsg {
-        PubSubMsg::Subscribe(sub)
-    }
-    fn msg_publish(&self, event: Event) -> PubSubMsg {
-        PubSubMsg::Publish(event)
-    }
-    fn msg_events(&self, events: Vec<Event>) -> Result<PubSubMsg, Vec<Event>> {
-        Ok(PubSubMsg::Events(events))
-    }
-    fn msg_unsubscribe(&mut self, sub: SubId) -> PubSubMsg {
-        PubSubMsg::Unsubscribe(sub)
-    }
-    fn msg_sensor_down(&self, sensor: SensorId) -> PubSubMsg {
-        PubSubMsg::SensorDown(sensor)
-    }
-    fn msg_move(&self, adv: Advertisement, gen: u64) -> PubSubMsg {
-        PubSubMsg::Move(adv, gen)
-    }
-    fn footprint_of(node: &PubSubNode, id: NodeId) -> NodeFootprint {
-        let st = node.storage_stats();
-        NodeFootprint {
-            node: id,
-            advertisements: st.advertisements,
-            operators: st.total_operators(),
-            stored_events: st.stored_events,
-            routes: st.forwarded_routes,
-        }
-    }
-    fn recovery_injections(
-        &self,
-        plane: &RecoveryPlane,
-        frontier: &[NodeId],
-    ) -> Vec<(NodeId, PubSubMsg)> {
-        let mut out = Vec::new();
-        for &sensor in &plane.dead_sensors {
-            let gen = plane.sensor_gens.get(&sensor).copied().unwrap_or(1);
-            for &node in frontier {
-                out.push((node, PubSubMsg::AdvDown(sensor, gen)));
-            }
-        }
-        out
-    }
-}
-
-/// Proto for the multi-join baseline.
-pub(crate) struct MjProto {
-    event_validity: u64,
-    mode: MatchMode,
-}
-
-impl DeployProto for MjProto {
-    type Node = MjNode;
-    type Msg = MjMsg;
-
-    fn name(&self) -> &'static str {
-        "Distributed multi-join"
-    }
-    fn make_node(&self, id: NodeId, _topo: &Topology) -> MjNode {
-        MjNode::with_mode(id, self.event_validity, self.mode)
-    }
-    fn msg_sensor_up(&self, adv: Advertisement) -> Option<MjMsg> {
-        Some(MjMsg::SensorUp(adv))
-    }
-    fn msg_subscribe(&mut self, _node: NodeId, sub: Subscription) -> MjMsg {
-        MjMsg::Subscribe(sub)
-    }
-    fn msg_publish(&self, event: Event) -> MjMsg {
-        MjMsg::Publish(event)
-    }
-    fn msg_events(&self, events: Vec<Event>) -> Result<MjMsg, Vec<Event>> {
-        Ok(MjMsg::Events(events))
-    }
-    fn msg_unsubscribe(&mut self, sub: SubId) -> MjMsg {
-        MjMsg::Unsubscribe(sub)
-    }
-    fn msg_sensor_down(&self, sensor: SensorId) -> MjMsg {
-        MjMsg::SensorDown(sensor)
-    }
-    fn msg_move(&self, adv: Advertisement, gen: u64) -> MjMsg {
-        MjMsg::Move(adv, gen)
-    }
-    fn footprint_of(node: &MjNode, id: NodeId) -> NodeFootprint {
-        let (advertisements, operators, stored_events, routes) = node.state_counts();
-        NodeFootprint {
-            node: id,
-            advertisements,
-            operators,
-            stored_events,
-            routes,
-        }
-    }
-    fn recovery_injections(
-        &self,
-        plane: &RecoveryPlane,
-        frontier: &[NodeId],
-    ) -> Vec<(NodeId, MjMsg)> {
-        let mut out = Vec::new();
-        for &sensor in &plane.dead_sensors {
-            let gen = plane.sensor_gens.get(&sensor).copied().unwrap_or(1);
-            for &node in frontier {
-                out.push((node, MjMsg::AdvDown(sensor, gen)));
-            }
-        }
-        out
-    }
-}
-
-/// Proto for the centralized baseline; the repair path re-sends tombstoned
-/// retractions toward the centre and re-registers every live subscription.
-pub(crate) struct CentralProto {
-    center: NodeId,
-    event_validity: u64,
-    mode: MatchMode,
-    subscriptions: BTreeMap<SubId, (NodeId, Subscription)>,
-}
-
-impl DeployProto for CentralProto {
-    type Node = CentralNode;
-    type Msg = CentralMsg;
-
-    fn name(&self) -> &'static str {
-        "Centralized"
-    }
-    fn make_node(&self, id: NodeId, topo: &Topology) -> CentralNode {
-        CentralNode::with_mode(id, topo, self.center, self.event_validity, self.mode)
-    }
-    fn msg_sensor_up(&self, _adv: Advertisement) -> Option<CentralMsg> {
-        // no advertisements: sensors stream to the centre unconditionally;
-        // the engine still records the host for crash garbage collection
-        None
-    }
-    fn msg_subscribe(&mut self, node: NodeId, sub: Subscription) -> CentralMsg {
-        self.subscriptions.insert(sub.id(), (node, sub.clone()));
-        CentralMsg::Subscribe(sub)
-    }
-    fn msg_publish(&self, event: Event) -> CentralMsg {
-        CentralMsg::Publish(event)
-    }
-    fn msg_events(&self, events: Vec<Event>) -> Result<CentralMsg, Vec<Event>> {
-        Err(events)
-    }
-    fn msg_unsubscribe(&mut self, sub: SubId) -> CentralMsg {
-        self.subscriptions.remove(&sub);
-        CentralMsg::Unsubscribe(sub)
-    }
-    fn msg_sensor_down(&self, sensor: SensorId) -> CentralMsg {
-        CentralMsg::SensorDown(sensor)
-    }
-    fn msg_move(&self, adv: Advertisement, _gen: u64) -> CentralMsg {
-        CentralMsg::Move(adv.sensor)
-    }
-    fn footprint_of(node: &CentralNode, id: NodeId) -> NodeFootprint {
-        NodeFootprint {
-            node: id,
-            advertisements: 0, // the centralized scheme keeps none
-            operators: node.registered_subs(),
-            stored_events: node.stored_events(),
-            routes: 0,
-        }
-    }
-    fn on_crash(&mut self, corpse: NodeId) {
-        self.subscriptions.retain(|_, (n, _)| *n != corpse);
-    }
-    fn recovery_injections(
-        &self,
-        plane: &RecoveryPlane,
-        frontier: &[NodeId],
-    ) -> Vec<(NodeId, CentralMsg)> {
-        let mut out = Vec::new();
-        if let Some(&via) = frontier.first() {
-            for &sensor in &plane.dead_sensors {
-                out.push((via, CentralMsg::SensorDownToCenter(sensor)));
-            }
-            for &sub in &plane.dead_subs {
-                out.push((via, CentralMsg::UnsubToCenter(sub)));
-            }
-        }
-        for (node, sub) in self.subscriptions.values() {
-            out.push((*node, CentralMsg::Subscribe(sub.clone())));
-        }
-        out
-    }
-    fn heal_injections(
-        &self,
-        plane: &RecoveryPlane,
-        endpoints: (NodeId, NodeId),
-    ) -> Vec<(NodeId, CentralMsg)> {
-        // mirror CentralEngine::heal_link: retractions through both heal
-        // endpoints (idempotent where they already reached the centre),
-        // then every live subscription re-registered at its home node
-        let mut out = Vec::new();
-        for via in [endpoints.0, endpoints.1] {
-            for &sensor in &plane.dead_sensors {
-                out.push((via, CentralMsg::SensorDownToCenter(sensor)));
-            }
-            for &sub in &plane.dead_subs {
-                out.push((via, CentralMsg::UnsubToCenter(sub)));
-            }
-        }
-        for (node, sub) in self.subscriptions.values() {
-            out.push((*node, CentralMsg::Subscribe(sub.clone())));
-        }
-        out
-    }
-}
-
-/// Everything the host deployments take from [`crate::api::EngineBuilder`]:
-/// the settings that survive the `Deploy::Threaded` / `Deploy::Async` arms.
-pub(crate) struct HostSpec {
-    pub kind: EngineKind,
-    pub event_validity: u64,
-    pub seed: u64,
-    pub latency: LatencyModel,
-    pub mode: MatchMode,
-    pub host_mode: HostMode,
-    pub mailbox: usize,
-}
-
-/// Build a host-backed engine of the given kind — the `Deploy::Threaded`
-/// and `Deploy::Async` arms of [`crate::api::EngineBuilder`].
-pub(crate) fn build_async(topology: &Topology, spec: HostSpec) -> Box<dyn Engine> {
-    let HostSpec {
-        kind,
-        event_validity,
-        seed,
-        latency,
-        mode,
-        host_mode,
-        mailbox,
-    } = spec;
-    match kind {
-        EngineKind::Centralized => Box::new(AsyncEngine::new(
-            CentralProto {
-                center: topology.median(),
-                event_validity,
-                mode,
-                subscriptions: BTreeMap::new(),
-            },
-            topology,
-            latency,
-            host_mode,
-            mailbox,
-        )),
-        EngineKind::Naive => Box::new(AsyncEngine::new(
-            PubSubProto {
-                name: "Naive approach",
-                config: PubSubConfig::naive(event_validity, seed).with_match_mode(mode),
-            },
-            topology,
-            latency,
-            host_mode,
-            mailbox,
-        )),
-        EngineKind::OperatorPlacement => Box::new(AsyncEngine::new(
-            PubSubProto {
-                name: "Distributed operator placement",
-                config: PubSubConfig::operator_placement(event_validity, seed)
-                    .with_match_mode(mode),
-            },
-            topology,
-            latency,
-            host_mode,
-            mailbox,
-        )),
-        EngineKind::MultiJoin => Box::new(AsyncEngine::new(
-            MjProto {
-                event_validity,
-                mode,
-            },
-            topology,
-            latency,
-            host_mode,
-            mailbox,
-        )),
-        EngineKind::FilterSplitForward => Box::new(AsyncEngine::new(
-            PubSubProto {
-                name: "Filter-Split-Forward",
-                config: PubSubConfig::fsf(event_validity, seed).with_match_mode(mode),
-            },
-            topology,
-            latency,
-            host_mode,
-            mailbox,
-        )),
     }
 }

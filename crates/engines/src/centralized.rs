@@ -110,6 +110,12 @@ impl CentralNode {
         }
     }
 
+    /// The candidate-query implementation the centre matches with.
+    #[must_use]
+    pub fn match_mode(&self) -> MatchMode {
+        self.match_mode
+    }
+
     /// Does the centre's range arrangement equal one rebuilt from scratch?
     /// Trivially `true` away from the centre. (Rebuild property tests.)
     #[must_use]

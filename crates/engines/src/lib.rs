@@ -15,20 +15,31 @@
 //! `fsf-core`'s [`fsf_core::PubSubNode`]; the centralized and multi-join
 //! approaches have structurally different propagation and are implemented
 //! here ([`centralized`], [`multijoin`]).
+//!
+//! What differs per family from the wrappers' point of view is a
+//! [`Protocol`] (three impls); the management plane around it exists once
+//! per substrate: [`SimEngine`] on the simulator, a host-backed engine on
+//! [`fsf_runtime::NodeHost`]. [`EngineBuilder`] picks one.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod api;
 mod async_engine;
+pub mod builder;
 pub mod centralized;
 pub mod multijoin;
+pub mod protocol;
+mod sim_engine;
 pub mod wire;
 
 pub use api::{
-    CentralEngine, Deploy, Engine, EngineBuilder, EngineControl, EngineData, EngineIntrospect,
-    EngineKind, MjEngine, MobilityStats, NodeFootprint, PubSubEngine, RecoveryStats,
+    Engine, EngineControl, EngineData, EngineIntrospect, EngineKind, MobilityStats, NodeFootprint,
+    RecoveryStats,
 };
+pub use builder::{ConfigError, Deploy, EngineBuilder};
 pub use centralized::{CentralMsg, CentralNode};
 pub use fsf_subsumption::MatchMode;
 pub use multijoin::{MjMsg, MjNode};
+pub use protocol::{CentralProto, MjProto, Protocol, PubSubProto};
+pub use sim_engine::SimEngine;

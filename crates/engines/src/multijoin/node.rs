@@ -91,6 +91,12 @@ impl MjNode {
         }
     }
 
+    /// The candidate-query implementation this node matches with.
+    #[must_use]
+    pub fn match_mode(&self) -> MatchMode {
+        self.match_mode
+    }
+
     /// Do all per-origin range arrangements equal ones rebuilt from scratch
     /// over the stored operators? (Rebuild property tests.)
     #[must_use]

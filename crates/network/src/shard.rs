@@ -32,8 +32,8 @@
 //!   topology becomes a single shard and the calendar queue replays the
 //!   exact `(deliver_at, seq)` order of the single-queue simulator.
 //!
-//! [`Backend`] wraps either simulator behind one API so the engine layer
-//! can switch with [`Backend::set_shards`].
+//! [`Backend`] wraps either simulator behind one API; the engine layer
+//! picks one at build time from the requested shard count.
 
 use crate::latency::{LatencyModel, LatencySummary};
 use crate::sim::{Ctx, DeliveryLog, NodeBehavior, Simulator};
@@ -424,31 +424,14 @@ where
         } else {
             ShardPlan::partition(&topology, shards)
         };
-        let nodes = topology
-            .nodes()
-            .map(|id| make_node(id, &topology))
-            .collect();
-        Self::from_parts(topology, latency, plan, nodes, sink)
-    }
-
-    /// Assemble from prebuilt nodes in topology-id order (backend
-    /// switching).
-    pub(crate) fn from_parts(
-        topology: Topology,
-        latency: LatencyModel,
-        plan: ShardPlan,
-        nodes: Vec<B>,
-        sink: S,
-    ) -> Self {
-        assert_eq!(nodes.len(), topology.len(), "one node per topology id");
         let mut shards: Vec<ShardState<B, S>> = (0..plan.shards())
             .map(|id| ShardState::new(id, sink.clone()))
             .collect();
         let mut node_slot = vec![0u32; topology.len()];
-        for (id, node) in nodes.into_iter().enumerate() {
-            let s = plan.shard_of(NodeId(id as u32));
-            node_slot[id] = shards[s].nodes.len() as u32;
-            shards[s].nodes.push(node);
+        for id in topology.nodes() {
+            let s = plan.shard_of(id);
+            node_slot[id.0 as usize] = shards[s].nodes.len() as u32;
+            shards[s].nodes.push(make_node(id, &topology));
         }
         let workers = Self::default_workers(plan.shards());
         let mut sim = ShardedSimulator {
@@ -477,30 +460,6 @@ where
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
         shards.min(cores)
-    }
-
-    /// The attached telemetry sink.
-    pub(crate) fn sink(&self) -> &S {
-        &self.sink
-    }
-
-    /// Tear apart for backend switching: nodes return in topology-id order.
-    pub(crate) fn into_parts(self) -> (Topology, LatencyModel, Vec<B>, S) {
-        let n = self.topology.len();
-        let mut slots: Vec<Option<B>> = (0..n).map(|_| None).collect();
-        for (s, shard) in self.shards.into_iter().enumerate() {
-            let mut nodes = shard.nodes.into_iter();
-            for (id, slot) in slots.iter_mut().enumerate() {
-                if self.plan.assignment[id] as usize == s {
-                    *slot = nodes.next();
-                }
-            }
-        }
-        let nodes = slots
-            .into_iter()
-            .map(|n| n.expect("every id assigned to exactly one shard"))
-            .collect();
-        (self.topology, self.latency, nodes, self.sink)
     }
 
     fn rebuild_shard_graph(&mut self) {
@@ -1238,45 +1197,6 @@ where
         }
     }
 
-    /// Switch the backend to `shards` shards. Only legal on a pristine
-    /// simulator (no traffic scheduled yet): queued state cannot migrate.
-    ///
-    /// # Panics
-    /// Panics if any message was already scheduled or the clock has moved.
-    pub fn set_shards(&mut self, shards: usize) {
-        assert!(
-            self.scheduled_total() == 0 && self.now() == 0,
-            "set_shards requires a pristine simulator (no scheduled traffic)"
-        );
-        let placeholder_sink = match &*self {
-            Backend::Single(s) => s.sink().clone(),
-            Backend::Sharded(s) => s.sink().clone(),
-        };
-        let placeholder = Backend::Single(Simulator::from_parts(
-            Topology::from_edges(0, &[]).expect("empty tree"),
-            LatencyModel::Zero,
-            Vec::new(),
-            placeholder_sink,
-        ));
-        let old = std::mem::replace(self, placeholder);
-        let (topology, latency, nodes, sink) = match old {
-            Backend::Single(sim) => sim.into_parts(),
-            Backend::Sharded(sim) => sim.into_parts(),
-        };
-        *self = if shards <= 1 {
-            Backend::Single(Simulator::from_parts(topology, latency, nodes, sink))
-        } else {
-            let plan = if latency.min_hop() == 0 {
-                ShardPlan::single(topology.len())
-            } else {
-                ShardPlan::partition(&topology, shards)
-            };
-            Backend::Sharded(ShardedSimulator::from_parts(
-                topology, latency, plan, nodes, sink,
-            ))
-        };
-    }
-
     /// The single-queue simulator, when active.
     ///
     /// # Panics
@@ -1284,17 +1204,6 @@ where
     /// simulator access (examples, probes) run single-shard.
     #[must_use]
     pub fn as_single(&self) -> &Simulator<B, S> {
-        match self {
-            Backend::Single(sim) => sim,
-            Backend::Sharded(_) => {
-                panic!("raw simulator access requires the single-shard backend")
-            }
-        }
-    }
-
-    /// Mutable access to the single-queue simulator, when active (see
-    /// [`Self::as_single`]).
-    pub fn as_single_mut(&mut self) -> &mut Simulator<B, S> {
         match self {
             Backend::Single(sim) => sim,
             Backend::Sharded(_) => {
@@ -1847,37 +1756,19 @@ mod tests {
     }
 
     #[test]
-    fn backend_set_shards_switches_pristine_simulators() {
-        let topo = builders::balanced(31, 2);
-        let mut backend: Backend<Flood> =
-            Backend::build(topo, LatencyModel::Uniform { hop: 1 }, 1, |_, _| {
-                Flood::default()
-            });
-        assert_eq!(backend.shards(), 1);
-        backend.set_shards(4);
-        assert_eq!(backend.shards(), 4);
-        backend.inject_and_run_helper();
-    }
-
-    impl Backend<Flood> {
-        fn inject_and_run_helper(&mut self) {
-            self.inject(NodeId(0), 5);
-            self.run_to_quiescence();
-            assert_eq!(self.node(NodeId(30)).seen, vec![5]);
+    fn backend_build_selects_the_simulator_by_shard_count() {
+        for shards in [1, 4] {
+            let mut backend: Backend<Flood> = Backend::build(
+                builders::balanced(31, 2),
+                LatencyModel::Uniform { hop: 1 },
+                shards,
+                |_, _| Flood::default(),
+            );
+            assert_eq!(backend.shards(), shards);
+            backend.inject(NodeId(0), 5);
+            backend.run_to_quiescence();
+            assert_eq!(backend.node(NodeId(30)).seen, vec![5]);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "pristine")]
-    fn backend_set_shards_rejects_scheduled_traffic() {
-        let mut backend: Backend<Flood> = Backend::build(
-            builders::balanced(7, 2),
-            LatencyModel::Uniform { hop: 1 },
-            1,
-            |_, _| Flood::default(),
-        );
-        backend.inject(NodeId(0), 1);
-        backend.set_shards(2);
     }
 
     #[test]

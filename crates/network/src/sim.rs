@@ -490,53 +490,6 @@ impl<B: NodeBehavior, S: TelemetrySink> Simulator<B, S> {
         }
     }
 
-    /// Tear a pristine simulator apart for backend switching (see
-    /// `shard::Backend::set_shards`): the topology, latency model, node
-    /// states and sink move out; queued messages and counters are
-    /// discarded, so callers must only do this before any traffic is
-    /// scheduled.
-    pub(crate) fn into_parts(self) -> (Topology, LatencyModel, Vec<B>, S) {
-        (self.topology, self.latency, self.nodes, self.sink)
-    }
-
-    /// The attached telemetry sink.
-    pub(crate) fn sink(&self) -> &S {
-        &self.sink
-    }
-
-    /// Rebuild from parts produced by [`Self::into_parts`] (node order must
-    /// match topology id order).
-    pub(crate) fn from_parts(
-        topology: Topology,
-        latency: LatencyModel,
-        nodes: Vec<B>,
-        sink: S,
-    ) -> Self {
-        assert_eq!(nodes.len(), topology.len(), "one node per topology id");
-        let queued_to = vec![0u32; topology.len()];
-        Simulator {
-            topology,
-            nodes,
-            queue: BinaryHeap::new(),
-            latency,
-            sink,
-            stats: TrafficStats::new(),
-            deliveries: DeliveryLog::new(),
-            now: 0,
-            next_seq: 0,
-            steps: 0,
-            scheduled_total: 0,
-            queue_drops: 0,
-            max_steps_per_run: Self::DEFAULT_MAX_STEPS,
-            down: BTreeMap::new(),
-            dropped_to_downed: 0,
-            queued_to,
-            tombstones: 0,
-            dropped_severed: 0,
-            liveness: None,
-        }
-    }
-
     // No mid-run latency-model setter on purpose: swapping to a faster
     // model while messages are in flight could let a later send overtake
     // an earlier one on the same link, breaking the per-link FIFO

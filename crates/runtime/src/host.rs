@@ -3,7 +3,7 @@
 //! backpressure, and the binary [`crate::codec`] on every link.
 //!
 //! This is the deployment-shaped counterpart of the discrete-event
-//! simulator in `fsf-network` and the legacy [`crate::ThreadedNet`]:
+//! simulator in `fsf-network`:
 //!
 //! * **Bounded mailboxes.** Each node owns one bounded channel (the wire's
 //!   receive buffer). A sender facing a full mailbox *parks* — nothing is
@@ -895,8 +895,8 @@ mod tests {
     use super::*;
     use fsf_network::builders;
 
-    /// Flooding behavior over the `u64` test message (mirrors the
-    /// ThreadedNet test double). `u64` gets a tiny wire form locally.
+    /// Flooding behavior over the `u64` test message. `u64` gets a tiny
+    /// wire form locally.
     #[derive(Debug, Default)]
     struct Flood {
         seen: Vec<u64>,

@@ -19,6 +19,7 @@ impl Json {
     /// Parse one complete JSON document (trailing whitespace allowed).
     pub(crate) fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser {
+            src: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -74,6 +75,8 @@ impl Json {
 }
 
 struct Parser<'a> {
+    /// The document; `bytes` is its byte view, `pos` indexes both.
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -156,6 +159,24 @@ impl Parser<'_> {
         Ok(code)
     }
 
+    /// After a high surrogate: consume a following `\uXXXX` escape if it is
+    /// a low surrogate and return its ten payload bits; leave anything else
+    /// unconsumed (`None` — the high surrogate was unpaired).
+    fn low_surrogate(&mut self) -> Result<Option<u32>, String> {
+        if !self.bytes[self.pos..].starts_with(b"\\u") {
+            return Ok(None);
+        }
+        let escape_start = self.pos;
+        self.pos += 2;
+        let lo = self.hex4()?;
+        if (0xDC00..0xE000).contains(&lo) {
+            Ok(Some(lo - 0xDC00))
+        } else {
+            self.pos = escape_start;
+            Ok(None)
+        }
+    }
+
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
@@ -180,28 +201,32 @@ impl Parser<'_> {
                         b'f' => out.push('\u{c}'),
                         b'u' => {
                             let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi)
-                                && self.bytes[self.pos..].starts_with(b"\\u")
-                            {
-                                self.pos += 2;
-                                let lo = self.hex4()?;
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                            let code = if (0xD800..0xDC00).contains(&hi) {
+                                self.low_surrogate()?
+                                    .map_or(0xFFFD, |lo| 0x10000 + ((hi - 0xD800) << 10) + lo)
                             } else {
                                 hi
                             };
+                            // a lone low surrogate is no scalar value either
                             out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                         }
                         other => return Err(format!("bad escape \\{}", other as char)),
                     }
                 }
                 _ => {
-                    // consume one UTF-8 scalar (multi-byte sequences pass
-                    // through untouched)
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8 in string")?;
-                    let ch = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // copy the run up to the next quote or escape in one
+                    // go; both are ASCII, so they never fall inside a
+                    // multi-byte sequence and the run is whole scalars
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|b| matches!(b, b'"' | b'\\'))
+                        .ok_or("unterminated string")?;
+                    let text = self
+                        .src
+                        .get(self.pos..self.pos + run)
+                        .ok_or("string run off a character boundary")?;
+                    out.push_str(text);
+                    self.pos += run;
                 }
             }
         }
@@ -305,6 +330,29 @@ mod tests {
         let doc = format!("{{\"s\": \"{}\"}}", escape(nasty));
         let v = Json::parse(&doc).unwrap();
         assert_eq!(v.get("s").unwrap().as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn unpaired_surrogates_become_replacement_characters() {
+        let parsed = |doc: &str| Json::parse(doc).unwrap().as_str().unwrap().to_string();
+        assert_eq!(parsed(r#""\ud800A""#), "\u{FFFD}A");
+        // mis-paired: the second escape is kept as its own character
+        assert_eq!(parsed(r#""\ud800\u0041""#), "\u{FFFD}A");
+        assert_eq!(parsed(r#""\udc00""#), "\u{FFFD}");
+        assert_eq!(parsed(r#""\ud83d\ude00""#), "\u{1F600}");
+        assert!(Json::parse(r#""\ud800\u00""#).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // per-character re-validation of the rest of the document made
+        // this quadratic: ~1 MB took minutes, not milliseconds
+        let body = "x— ".repeat(200_000);
+        let doc = format!("[\"{body}\", \"{body}\"]");
+        let start = std::time::Instant::now();
+        let v = Json::parse(&doc).unwrap();
+        assert!(start.elapsed() < std::time::Duration::from_secs(1));
+        assert_eq!(v.as_arr().unwrap()[1].as_str(), Some(body.as_str()));
     }
 
     #[test]

@@ -191,13 +191,13 @@ fn station_run(config: &ScaleConfig, shards: usize) -> (f64, bool, Box<dyn Engin
     let latency = LatencyModel::Uniform {
         hop: config.hop_latency,
     };
-    let mut e = EngineKind::FilterSplitForward.build_sharded(
-        topology,
-        2 * config.delta_t,
-        config.engine_seed,
-        latency,
-        shards,
-    );
+    let mut e = EngineKind::FilterSplitForward
+        .builder(topology)
+        .validity(2 * config.delta_t)
+        .seed(config.engine_seed)
+        .latency(latency)
+        .shards(shards)
+        .build();
     // stations on the leaf layer (the back half of the id space), evenly
     // spread so each carved subtree hosts some
     let half = config.total_nodes / 2;

@@ -91,12 +91,12 @@ pub fn run_timed(config: &TimedConfig) -> Vec<TimedRow> {
     EngineKind::ALL
         .iter()
         .map(|&kind| {
-            let mut engine = kind.build_with_latency(
-                topology.clone(),
-                config.event_validity,
-                config.engine_seed,
-                config.latency.clone(),
-            );
+            let mut engine = kind
+                .builder(topology.clone())
+                .validity(config.event_validity)
+                .seed(config.engine_seed)
+                .latency(config.latency.clone())
+                .build();
             let final_clock = run_plan_timed(engine.as_mut(), &timed);
             TimedRow {
                 engine: kind,

@@ -12,7 +12,7 @@
 //! centralized matcher).
 
 use fsf::dynamics::apply_action;
-use fsf::engines::{CentralEngine, MjEngine, PubSubEngine};
+use fsf::engines::{CentralProto, MjProto, PubSubProto, SimEngine};
 use fsf::network::builders;
 use fsf::prelude::*;
 
@@ -89,7 +89,7 @@ fn pubsub_family_indexes_match_a_fresh_rebuild_after_every_action() {
             PubSubConfig::operator_placement(VALIDITY, 42),
             PubSubConfig::fsf(VALIDITY, 42),
         ] {
-            let mut e = PubSubEngine::new("battery", topology.clone(), config);
+            let mut e = SimEngine::new(topology.clone(), PubSubProto::new("battery", config));
             replay_checked(&mut e, &plan, |e, action| {
                 let sim = e.simulator();
                 for id in 0..topology.len() as u32 {
@@ -112,7 +112,10 @@ fn multijoin_indexes_match_a_fresh_rebuild_after_every_action() {
     for seed in seeds() {
         let topology = builders::balanced(31, 2);
         let plan = adversarial_plan(&topology, seed);
-        let mut e = MjEngine::new(topology.clone(), VALIDITY);
+        let mut e = SimEngine::new(
+            topology.clone(),
+            MjProto::new(VALIDITY, MatchMode::default()),
+        );
         replay_checked(&mut e, &plan, |e, action| {
             let sim = e.simulator();
             for id in 0..topology.len() as u32 {
@@ -134,7 +137,10 @@ fn centralized_index_matches_a_fresh_rebuild_after_every_action() {
     for seed in seeds() {
         let topology = builders::balanced(31, 2);
         let plan = adversarial_plan(&topology, seed);
-        let mut e = CentralEngine::new(topology.clone(), VALIDITY);
+        let mut e = SimEngine::new(
+            topology.clone(),
+            CentralProto::new(&topology, VALIDITY, MatchMode::default()),
+        );
         replay_checked(&mut e, &plan, |e, action| {
             let sim = e.simulator();
             for id in 0..topology.len() as u32 {

@@ -13,6 +13,7 @@
 use fsf::dynamics::{run_plan, run_plan_timed, TimedReplayConfig};
 use fsf::network::builders;
 use fsf::prelude::*;
+use fsf::telemetry::Recorder;
 use std::collections::BTreeMap;
 
 const VALIDITY: u64 = 60;
@@ -117,21 +118,21 @@ fn flushed_matrices_agree_and_burst_frames_conserve_the_ledger() {
             for (family, plan) in plan_families(&topology, seed) {
                 for kind in EngineKind::ALL {
                     let ctx = format!("seed {seed:#x} {kind}/{family}/{latency:?}");
-                    let mut oracle = kind.build_with_mode(
-                        topology.clone(),
-                        VALIDITY,
-                        42,
-                        latency.clone(),
-                        MatchMode::LinearScan,
-                    );
+                    let mut oracle = kind
+                        .builder(topology.clone())
+                        .validity(VALIDITY)
+                        .seed(42)
+                        .latency(latency.clone())
+                        .match_mode(MatchMode::LinearScan)
+                        .build();
                     run_plan(oracle.as_mut(), &plan);
-                    let mut batched = kind.build_with_mode(
-                        topology.clone(),
-                        VALIDITY,
-                        42,
-                        latency.clone(),
-                        MatchMode::Arrangement,
-                    );
+                    let mut batched = kind
+                        .builder(topology.clone())
+                        .validity(VALIDITY)
+                        .seed(42)
+                        .latency(latency.clone())
+                        .match_mode(MatchMode::Arrangement)
+                        .build();
                     run_plan(batched.as_mut(), &plan);
                     assert_eq!(
                         oracle.deliveries(),
@@ -194,21 +195,21 @@ fn timed_matrices_agree_at_quiescence() {
                 let timed = plan.timed(&TimedReplayConfig::drained(&topology, &latency));
                 for kind in EngineKind::ALL {
                     let ctx = format!("seed {seed:#x} {kind}/{family}/{latency:?} timed");
-                    let mut oracle = kind.build_with_mode(
-                        topology.clone(),
-                        VALIDITY,
-                        42,
-                        latency.clone(),
-                        MatchMode::LinearScan,
-                    );
+                    let mut oracle = kind
+                        .builder(topology.clone())
+                        .validity(VALIDITY)
+                        .seed(42)
+                        .latency(latency.clone())
+                        .match_mode(MatchMode::LinearScan)
+                        .build();
                     let end_oracle = run_plan_timed(oracle.as_mut(), &timed);
-                    let mut batched = kind.build_with_mode(
-                        topology.clone(),
-                        VALIDITY,
-                        42,
-                        latency.clone(),
-                        MatchMode::Arrangement,
-                    );
+                    let mut batched = kind
+                        .builder(topology.clone())
+                        .validity(VALIDITY)
+                        .seed(42)
+                        .latency(latency.clone())
+                        .match_mode(MatchMode::Arrangement)
+                        .build();
                     let end_batched = run_plan_timed(batched.as_mut(), &timed);
                     assert_eq!(
                         oracle.deliveries(),
@@ -239,8 +240,14 @@ fn batched_path_traces_reconcile() {
     for (family, plan) in plan_families(&topology, seed) {
         for kind in EngineKind::ALL {
             let ctx = format!("{kind}/{family}");
-            let (mut engine, recorder) =
-                kind.build_recorded(topology.clone(), VALIDITY, 42, latency.clone(), 1);
+            let recorder = Recorder::new();
+            let mut engine = kind
+                .builder(topology.clone())
+                .validity(VALIDITY)
+                .seed(42)
+                .latency(latency.clone())
+                .sink(recorder.clone())
+                .build();
             run_plan(engine.as_mut(), &plan);
             if let Some(site) = burst_site(&plan) {
                 engine.inject_events(site.0, burst(&site, 12));

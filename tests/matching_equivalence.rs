@@ -165,8 +165,13 @@ fn five_engines_match_the_scan_oracle_across_seeds() {
         for kind in EngineKind::ALL {
             let ctx = format!("case {case} / {kind}");
             let load = |mode: MatchMode| -> Box<dyn Engine> {
-                let mut e =
-                    kind.build_with_mode(topology.clone(), VALIDITY, 42, LatencyModel::Zero, mode);
+                let mut e = kind
+                    .builder(topology.clone())
+                    .validity(VALIDITY)
+                    .seed(42)
+                    .latency(LatencyModel::Zero)
+                    .match_mode(mode)
+                    .build();
                 for (node, adv) in &stations {
                     e.inject_sensor(*node, *adv);
                 }

@@ -51,7 +51,12 @@ fn run(
     latency: &LatencyModel,
     plan: &ChurnPlan,
 ) -> (DeliveryLog, Box<dyn Engine>) {
-    let mut e = kind.build_with_latency(topology.clone(), VALIDITY, 42, latency.clone());
+    let mut e = kind
+        .builder(topology.clone())
+        .validity(VALIDITY)
+        .seed(42)
+        .latency(latency.clone())
+        .build();
     run_plan(e.as_mut(), plan);
     assert_eq!(e.queue_depth(), 0, "{kind}: not quiescent");
     (e.deliveries().clone(), e)
@@ -151,12 +156,12 @@ fn move_races_its_own_original_advert_flood() {
     for kind in EngineKind::ALL {
         // balanced(15): station at leaf 7 (under child 1), the move target
         // and user in the opposite subtree (under child 2)
-        let mut e = kind.build_with_latency(
-            builders::balanced(15, 2),
-            VALIDITY,
-            42,
-            LatencyModel::Uniform { hop: 3 },
-        );
+        let mut e = kind
+            .builder(builders::balanced(15, 2))
+            .validity(VALIDITY)
+            .seed(42)
+            .latency(LatencyModel::Uniform { hop: 3 })
+            .build();
         let adv = Advertisement {
             sensor: SensorId(1),
             attr: AttrId(0),
@@ -221,12 +226,12 @@ fn retraction_straggler_cannot_wipe_a_revival() {
     for kind in EngineKind::ALL {
         // balanced(15): station at leaf 7, revival host and user in the
         // opposite subtree, per-hop latency so both floods are in flight
-        let mut e = kind.build_with_latency(
-            builders::balanced(15, 2),
-            VALIDITY,
-            42,
-            LatencyModel::Uniform { hop: 3 },
-        );
+        let mut e = kind
+            .builder(builders::balanced(15, 2))
+            .validity(VALIDITY)
+            .seed(42)
+            .latency(LatencyModel::Uniform { hop: 3 })
+            .build();
         let adv = Advertisement {
             sensor: SensorId(1),
             attr: AttrId(0),
@@ -284,18 +289,20 @@ fn retraction_straggler_cannot_wipe_a_revival() {
 #[test]
 fn racing_moves_leave_no_superseded_routes() {
     use fsf::core::PubSubConfig;
-    use fsf::engines::PubSubEngine;
+    use fsf::engines::{PubSubProto, SimEngine};
+    use fsf::telemetry::Noop;
     for config in [
         PubSubConfig::naive(VALIDITY, 42),
         PubSubConfig::operator_placement(VALIDITY, 42),
         PubSubConfig::fsf(VALIDITY, 42),
     ] {
         let topology = builders::balanced(15, 2);
-        let mut e = PubSubEngine::with_latency(
-            "race",
+        let mut e = SimEngine::with_sink(
             topology.clone(),
-            config,
             LatencyModel::Uniform { hop: 2 },
+            1,
+            Noop,
+            PubSubProto::new("race", config),
         );
         let adv = Advertisement {
             sensor: SensorId(1),

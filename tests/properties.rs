@@ -637,7 +637,7 @@ fn resubscription_after_retraction_behaves_like_fresh() {
 #[test]
 fn random_moves_leave_no_superseded_generation_routes() {
     use fsf::core::PubSubConfig;
-    use fsf::engines::{EngineData, PubSubEngine};
+    use fsf::engines::{EngineData, PubSubProto, SimEngine};
     use fsf::model::{Advertisement, AttrId, Point};
     cases(22, 16, |rng| {
         let n = rng.gen_range(4usize..24);
@@ -650,7 +650,7 @@ fn random_moves_leave_no_superseded_generation_routes() {
             PubSubConfig::fsf(60, 7),
         ] {
             let mut r = StdRng::seed_from_u64(setup);
-            let mut e = PubSubEngine::new("prop-mobility", topo.clone(), config);
+            let mut e = SimEngine::new(topo.clone(), PubSubProto::new("prop-mobility", config));
             let adv = |s: u32| Advertisement {
                 sensor: SensorId(s),
                 attr: AttrId(s as u16),

@@ -135,7 +135,12 @@ fn scenario(seed: u64) -> Scenario {
 /// Replay the scenario through one engine; `crash` controls whether the
 /// relay dies (with auto-recovery) between the two batches.
 fn run(kind: EngineKind, latency: &LatencyModel, sc: &Scenario, crash: bool) -> DeliveryLog {
-    let mut e = kind.build_with_latency(sc.topology.clone(), VALIDITY, 42, latency.clone());
+    let mut e = kind
+        .builder(sc.topology.clone())
+        .validity(VALIDITY)
+        .seed(42)
+        .latency(latency.clone())
+        .build();
     for &(node, adv) in &sc.sensors {
         e.inject_sensor(node, adv);
         e.flush();
@@ -317,12 +322,12 @@ fn severed_retraction_flood_is_replayed_by_recovery() {
         EngineKind::FilterSplitForward,
     ] {
         // line n0(station) — n1 — n2 — n3, two ticks per hop
-        let mut e = kind.build_with_latency(
-            builders::line(4),
-            VALIDITY,
-            42,
-            LatencyModel::Uniform { hop: 2 },
-        );
+        let mut e = kind
+            .builder(builders::line(4))
+            .validity(VALIDITY)
+            .seed(42)
+            .latency(LatencyModel::Uniform { hop: 2 })
+            .build();
         e.inject_sensor(
             NodeId(0),
             Advertisement {
@@ -395,12 +400,12 @@ fn regraft_under_paused_flood_races_recovery_traffic() {
         // balanced(15): root 0, children 1/2; station at leaf 7 (under 1),
         // user at leaf 14 (under 2). Crash the root's child n1 while the
         // advertisement flood from n7 is still crossing the tree.
-        let mut e = kind.build_with_latency(
-            builders::balanced(15, 2),
-            VALIDITY,
-            42,
-            LatencyModel::Uniform { hop: 3 },
-        );
+        let mut e = kind
+            .builder(builders::balanced(15, 2))
+            .validity(VALIDITY)
+            .seed(42)
+            .latency(LatencyModel::Uniform { hop: 3 })
+            .build();
         e.inject_sensor(
             NodeId(7),
             Advertisement {

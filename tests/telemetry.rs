@@ -75,11 +75,21 @@ fn recording_changes_nothing_and_reconciles() {
         for (family, plan) in plan_families(&topology, seed) {
             for kind in EngineKind::ALL {
                 let ctx = format!("seed {seed:#x} {kind}/{family}");
-                let mut dark =
-                    kind.build_with_latency(topology.clone(), VALIDITY, 42, latency.clone());
+                let mut dark = kind
+                    .builder(topology.clone())
+                    .validity(VALIDITY)
+                    .seed(42)
+                    .latency(latency.clone())
+                    .build();
                 run_plan(dark.as_mut(), &plan);
-                let (mut lit, recorder) =
-                    kind.build_recorded(topology.clone(), VALIDITY, 42, latency.clone(), 1);
+                let recorder = Recorder::new();
+                let mut lit = kind
+                    .builder(topology.clone())
+                    .validity(VALIDITY)
+                    .seed(42)
+                    .latency(latency.clone())
+                    .sink(recorder.clone())
+                    .build();
                 run_plan(lit.as_mut(), &plan);
                 assert_eq!(
                     lit.deliveries(),
@@ -121,8 +131,15 @@ fn recorded_run() -> Recorder {
     let timed = plan.timed(&fsf::dynamics::TimedReplayConfig::drained(
         &topology, &latency,
     ));
-    let (mut engine, recorder) =
-        EngineKind::FilterSplitForward.build_recorded(topology, VALIDITY, 42, latency, 2);
+    let recorder = Recorder::new();
+    let mut engine = EngineKind::FilterSplitForward
+        .builder(topology)
+        .validity(VALIDITY)
+        .seed(42)
+        .latency(latency)
+        .shards(2)
+        .sink(recorder.clone())
+        .build();
     run_plan_timed_traced(engine.as_mut(), &timed, &recorder);
     recorder
         .reconcile(

@@ -3,8 +3,9 @@
 //!
 //! Two batteries live here:
 //!
-//! * the original two-way check — raw `ThreadedNet` vs `Simulator` on
-//!   traffic counters for a static workload;
+//! * the two-way check — [`Deploy::Threaded`] vs [`Deploy::Simulator`] on
+//!   *traffic counters* (subscription load, event load, delivered units)
+//!   for a static workload;
 //! * the three-way battery — every [`EngineKind`] built through the
 //!   [`EngineBuilder`] under all three [`Deploy`] modes (simulator,
 //!   thread-per-node, async executor), replaying identical seeded churn /
@@ -13,68 +14,48 @@
 use fsf::dynamics::{leaks, run_plan, ChurnAction, ChurnPlan, ChurnPlanConfig};
 use fsf::network::{builders, DeliveryLog};
 use fsf::prelude::*;
-use fsf::runtime::ThreadedNet;
 use fsf::workload::{ScenarioConfig, Workload};
 
-fn run_simulated(w: &Workload, config: PubSubConfig) -> (u64, u64, u64) {
-    let mut sim = Simulator::new(w.topology.clone(), |id, _| PubSubNode::new(id, config));
+/// Replay the static workload through `kind` under `deploy` via the
+/// [`Engine`] facade; returns (subscription load, event load, delivered
+/// units).
+fn run_static(w: &Workload, kind: EngineKind, deploy: Deploy) -> (u64, u64, u64) {
+    let mut engine = kind
+        .builder(w.topology.clone())
+        .validity(w.config.event_validity())
+        .seed(42)
+        .deploy(deploy)
+        .build();
     for s in &w.sensors {
-        sim.inject_and_run(s.node, PubSubMsg::SensorUp(s.advertisement()));
+        engine.inject_sensor(s.node, s.advertisement());
+        engine.flush();
     }
     for batch in &w.sub_batches {
         for (node, sub) in batch {
-            sim.inject_and_run(*node, PubSubMsg::Subscribe(sub.clone()));
+            engine.inject_subscription(*node, sub.clone());
+            engine.flush();
         }
     }
     for rounds in &w.event_batches {
         for round in rounds {
             for (node, e) in round {
-                sim.inject(*node, PubSubMsg::Publish(*e));
+                engine.inject_event(*node, *e);
             }
-            sim.run_to_quiescence();
+            engine.flush();
         }
     }
     (
-        sim.stats.sub_forwards(),
-        sim.stats.event_units(),
-        sim.deliveries.total_event_units(),
-    )
-}
-
-fn run_threaded(w: &Workload, config: PubSubConfig) -> (u64, u64, u64) {
-    let net = ThreadedNet::spawn(&w.topology, |id, _| PubSubNode::new(id, config));
-    for s in &w.sensors {
-        net.inject(s.node, PubSubMsg::SensorUp(s.advertisement()));
-        net.wait_quiescent();
-    }
-    for batch in &w.sub_batches {
-        for (node, sub) in batch {
-            net.inject(*node, PubSubMsg::Subscribe(sub.clone()));
-            net.wait_quiescent();
-        }
-    }
-    for rounds in &w.event_batches {
-        for round in rounds {
-            for (node, e) in round {
-                net.inject(*node, PubSubMsg::Publish(*e));
-            }
-            net.wait_quiescent();
-        }
-    }
-    let (stats, deliveries) = net.shutdown();
-    (
-        stats.sub_forwards(),
-        stats.event_units(),
-        deliveries.total_event_units(),
+        engine.stats().sub_forwards(),
+        engine.stats().event_units(),
+        engine.deliveries().total_event_units(),
     )
 }
 
 #[test]
 fn threaded_fsf_matches_simulator_exactly() {
     let w = Workload::generate(&ScenarioConfig::tiny());
-    let config = PubSubConfig::fsf(w.config.event_validity(), 42);
-    let sim = run_simulated(&w, config);
-    let thr = run_threaded(&w, config);
+    let sim = run_static(&w, EngineKind::FilterSplitForward, Deploy::Simulator);
+    let thr = run_static(&w, EngineKind::FilterSplitForward, Deploy::Threaded);
     assert_eq!(sim.0, thr.0, "subscription load differs");
     assert_eq!(sim.1, thr.1, "event load differs");
     assert_eq!(sim.2, thr.2, "delivered units differ");
@@ -86,9 +67,8 @@ fn threaded_naive_matches_simulator_exactly() {
     cfg.batches = 2;
     cfg.subs_per_batch = 5;
     let w = Workload::generate(&cfg);
-    let config = PubSubConfig::naive(w.config.event_validity(), 42);
-    let sim = run_simulated(&w, config);
-    let thr = run_threaded(&w, config);
+    let sim = run_static(&w, EngineKind::Naive, Deploy::Simulator);
+    let thr = run_static(&w, EngineKind::Naive, Deploy::Threaded);
     assert_eq!(sim, thr);
 }
 

@@ -4,7 +4,7 @@
 //! primitive the threaded runtime hands messages over.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fsf_network::{builders, Backend, LatencyModel, NodeId};
+use fsf_network::{builders, LatencyModel, NodeId, Simulator};
 use fsf_telemetry::Recorder;
 use fsf_workload::RelayFlood;
 use std::hint::black_box;
@@ -22,7 +22,7 @@ fn bench_flood_to_quiescence(c: &mut Criterion) {
                 &nodes,
                 |b, &n| {
                     b.iter(|| {
-                        let mut net = Backend::build(
+                        let mut net = Simulator::build(
                             builders::balanced(n, 2),
                             LatencyModel::Uniform { hop: 2 },
                             shards,
@@ -51,7 +51,7 @@ fn bench_cross_shard_handoff(c: &mut Criterion) {
     for shards in [1usize, 2] {
         g.bench_with_input(BenchmarkId::new("edge_flood", shards), &shards, |b, &s| {
             b.iter(|| {
-                let mut net = Backend::build(
+                let mut net = Simulator::build(
                     builders::balanced(n, 2),
                     LatencyModel::Uniform { hop: 1 },
                     s,
@@ -79,7 +79,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     let n = 8_191usize;
     g.bench_function("noop", |b| {
         b.iter(|| {
-            let mut net = Backend::build(
+            let mut net = Simulator::build(
                 builders::balanced(n, 2),
                 LatencyModel::Uniform { hop: 2 },
                 1,
@@ -94,7 +94,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     g.bench_function("recorder", |b| {
         b.iter(|| {
             let recorder = Recorder::new();
-            let mut net = Backend::build_with_sink(
+            let mut net = Simulator::build_with_sink(
                 builders::balanced(n, 2),
                 LatencyModel::Uniform { hop: 2 },
                 recorder.clone(),

@@ -366,10 +366,10 @@ pub trait EngineIntrospect {
     fn stats(&self) -> &TrafficStats;
     /// Accumulated end-user deliveries.
     fn deliveries(&self) -> &DeliveryLog;
-    /// Event-queue shard count of the underlying network simulator (1 =
-    /// the single-heap deterministic oracle; see
-    /// [`fsf_network::ShardedSimulator`]), or the async host's worker
-    /// count.
+    /// Event-queue shard count of the underlying [`fsf_network::Simulator`]
+    /// (1 = the heap discipline, the deterministic oracle; more = the
+    /// effective count of its shards discipline), or the async host's
+    /// worker count.
     fn shards(&self) -> usize;
     /// Messages delivered to node behaviors so far.
     fn steps(&self) -> u64;

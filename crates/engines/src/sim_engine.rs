@@ -1,6 +1,6 @@
 //! The simulator deployment of the five engines: one wrapper over
-//! [`fsf_network::Backend`] (single-heap or sharded), generic over the
-//! family's [`Protocol`] and an optional telemetry sink.
+//! [`fsf_network::Simulator`] (heap or shards queue, by shard count),
+//! generic over the family's [`Protocol`] and an optional telemetry sink.
 
 use crate::api::{
     EngineControl, EngineData, EngineIntrospect, MobilityStats, NodeFootprint, RecoveryPlane,
@@ -9,7 +9,7 @@ use crate::api::{
 use crate::protocol::Protocol;
 use fsf_model::{Advertisement, Event, SensorId, SubId, Subscription};
 use fsf_network::{
-    Backend, DeliveryLog, LatencyModel, LatencySummary, NodeId, RegraftDelta, Simulator, Topology,
+    DeliveryLog, LatencyModel, LatencySummary, NodeId, RegraftDelta, Simulator, Topology,
     TopologyError, TrafficStats,
 };
 use fsf_telemetry::{Noop, TelemetryEvent, TelemetrySink};
@@ -20,7 +20,7 @@ use fsf_telemetry::{Noop, TelemetryEvent, TelemetrySink};
 /// engine-level operation spans.
 pub struct SimEngine<P: Protocol, S: TelemetrySink = Noop> {
     proto: P,
-    sim: Backend<P::Node, S>,
+    sim: Simulator<P::Node, S>,
     sink: S,
     recovery: RecoveryPlane,
 }
@@ -45,7 +45,7 @@ impl<P: Protocol, S: TelemetrySink> SimEngine<P, S> {
         sink: S,
         proto: P,
     ) -> Self {
-        let sim = Backend::build_with_sink(topology, latency, sink.clone(), shards, |id, t| {
+        let sim = Simulator::build_with_sink(topology, latency, sink.clone(), shards, |id, t| {
             proto.make_node(id, t)
         });
         SimEngine {
@@ -56,13 +56,11 @@ impl<P: Protocol, S: TelemetrySink> SimEngine<P, S> {
         }
     }
 
-    /// Access the underlying single-queue simulator (tests / inspection).
-    ///
-    /// # Panics
-    /// Panics when the engine was built with more than one shard.
+    /// Access the underlying simulator (tests / inspection), whatever its
+    /// shard count.
     #[must_use]
     pub fn simulator(&self) -> &Simulator<P::Node, S> {
-        self.sim.as_single()
+        &self.sim
     }
 
     /// Record one engine-level span. High-volume data-plane injections are
@@ -237,11 +235,11 @@ impl<P: Protocol, S: TelemetrySink> EngineIntrospect for SimEngine<P, S> {
     fn mobility_stats(&self) -> MobilityStats {
         MobilityStats {
             moves: self.recovery.moves,
-            handoff_msgs: self.sim.stats().handoff_msgs(),
+            handoff_msgs: self.sim.stats.handoff_msgs(),
         }
     }
     fn recovery_stats(&self) -> RecoveryStats {
-        self.recovery.stats(self.sim.stats().recovery_msgs())
+        self.recovery.stats(self.sim.stats.recovery_msgs())
     }
     fn footprint(&self) -> Vec<NodeFootprint> {
         self.sim
@@ -258,13 +256,13 @@ impl<P: Protocol, S: TelemetrySink> EngineIntrospect for SimEngine<P, S> {
         self.sim.queue_depth()
     }
     fn latency_summary(&self) -> LatencySummary {
-        self.sim.deliveries().latency_summary()
+        self.sim.deliveries.latency_summary()
     }
     fn stats(&self) -> &TrafficStats {
-        self.sim.stats()
+        &self.sim.stats
     }
     fn deliveries(&self) -> &DeliveryLog {
-        self.sim.deliveries()
+        &self.sim.deliveries
     }
     fn shards(&self) -> usize {
         self.sim.shards()
@@ -294,13 +292,24 @@ mod tests {
     use fsf_network::builders;
     use fsf_telemetry::Recorder;
 
-    fn assert_every_node_scans<P: Protocol>(proto: P, mode_of: fn(&P::Node) -> MatchMode) {
-        let topology = builders::balanced(7, 2);
-        let nodes: Vec<NodeId> = topology.nodes().collect();
-        let e = SimEngine::with_sink(topology, LatencyModel::Zero, 1, Recorder::new(), proto);
-        for id in nodes {
-            let mode = mode_of(e.simulator().node(id));
-            assert_eq!(mode, MatchMode::LinearScan, "{} at {id:?}", e.name());
+    /// On the heap and on two shards: `simulator()` is the same typed
+    /// accessor either way.
+    fn assert_every_node_scans<P: Protocol>(
+        proto: impl Fn() -> P,
+        mode_of: fn(&P::Node) -> MatchMode,
+    ) {
+        for (shards, latency) in [
+            (1, LatencyModel::Zero),
+            (2, LatencyModel::Uniform { hop: 1 }),
+        ] {
+            let topology = builders::balanced(7, 2);
+            let nodes: Vec<NodeId> = topology.nodes().collect();
+            let e = SimEngine::with_sink(topology, latency, shards, Recorder::new(), proto());
+            assert_eq!(e.shards(), shards);
+            for id in nodes {
+                let mode = mode_of(e.simulator().node(id));
+                assert_eq!(mode, MatchMode::LinearScan, "{} at {id:?}", e.name());
+            }
         }
     }
 
@@ -311,12 +320,12 @@ mod tests {
     fn match_mode_reaches_every_node_under_a_sink() {
         let scan = MatchMode::LinearScan;
         assert_every_node_scans(
-            PubSubProto::new("fsf", PubSubConfig::fsf(60, 7).with_match_mode(scan)),
+            || PubSubProto::new("fsf", PubSubConfig::fsf(60, 7).with_match_mode(scan)),
             PubSubNode::match_mode,
         );
-        assert_every_node_scans(MjProto::new(60, scan), MjNode::match_mode);
+        assert_every_node_scans(|| MjProto::new(60, scan), MjNode::match_mode);
         assert_every_node_scans(
-            CentralProto::new(&builders::balanced(7, 2), 60, scan),
+            || CentralProto::new(&builders::balanced(7, 2), 60, scan),
             CentralNode::match_mode,
         );
     }

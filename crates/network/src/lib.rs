@@ -18,29 +18,44 @@
 //! * [`traffic`] — per-kind and per-link traffic accounting;
 //! * [`latency`] — deterministic per-link message-latency models and
 //!   delivery-latency summaries (p50/p95/max virtual ticks);
-//! * [`sim`] — a deterministic **discrete-event** message simulator over a
-//!   [`sim::NodeBehavior`] trait: a timestamped priority queue ordered by
-//!   `(deliver_at, seq)`, a virtual clock exposed through [`sim::Ctx::now`],
-//!   partial advancement via [`sim::Simulator::run_until`], and a
-//!   zero-latency mode that reproduces the legacy run-to-quiescence FIFO
-//!   order exactly (see the `sim` module docs for the event-clock
-//!   semantics, the tie-breaking rule, and the compat guarantee). The same
-//!   trait is executed by real OS threads in `fsf-runtime`, demonstrating
-//!   the node logic under genuine concurrency.
+//! * [`node`] — the seam engines are written against: the
+//!   [`NodeBehavior`] trait, the per-message [`Ctx`] (send, deliver,
+//!   virtual clock) and the [`DeliveryLog`]. The same trait is executed by
+//!   real OS threads and async tasks in `fsf-runtime`, demonstrating the
+//!   node logic under genuine concurrency;
+//! * [`sim`] — the one deterministic **discrete-event** [`Simulator`]:
+//!   everything below `NodeBehavior` and above the queue (virtual clock,
+//!   partial advancement via [`Simulator::run_until`], inject, sever/heal,
+//!   crash + purge, recovery, the conservation ledger), over one of two
+//!   queue disciplines picked from the requested shard count;
+//! * `heap` — the 1-shard discipline: a timestamped priority queue ordered
+//!   by `(deliver_at, seq)`, whose zero-latency mode reproduces the legacy
+//!   run-to-quiescence FIFO order exactly, plus the heartbeat failure
+//!   detector (see the `sim` module docs for the event-clock semantics,
+//!   the tie-breaking rule, and the compat guarantee);
+//! * [`shard`] — the many-shard discipline: a [`ShardPlan`] of connected
+//!   subtrees, per-shard calendar queues, and conservative Chandy–Misra
+//!   lookahead rounds that advance shards on worker threads while staying
+//!   event-for-event equal to the heap.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod builders;
+mod heap;
 pub mod latency;
+pub mod node;
 pub mod shard;
 pub mod sim;
+#[cfg(test)]
+mod tests;
 pub mod topology;
 pub mod traffic;
 
 pub use builders::ClusteredLayout;
 pub use latency::{LatencyModel, LatencySummary};
-pub use shard::{Backend, ShardPlan, ShardedSimulator};
-pub use sim::{Ctx, DeliveryLog, NodeBehavior, Simulator};
+pub use node::{Ctx, DeliveryLog, NodeBehavior};
+pub use shard::ShardPlan;
+pub use sim::{Backend, Simulator};
 pub use topology::{NodeId, RegraftDelta, Topology, TopologyError};
 pub use traffic::{ChargeKind, TrafficStats};

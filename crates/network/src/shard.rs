@@ -1,6 +1,7 @@
-//! Sharded conservative-parallel discrete-event simulation.
+//! The *shards* queue discipline: conservative-parallel rounds over
+//! per-subtree calendar queues.
 //!
-//! The single-queue [`Simulator`] drains every message through one global
+//! The heap discipline drains every message through one global
 //! `BinaryHeap` on one thread — the hard ceiling on topology size. This
 //! module partitions the tree into connected subtree **shards**, gives each
 //! shard its own calendar queue, and advances shards concurrently under a
@@ -24,23 +25,26 @@
 //!   order. The schedule is a pure function of the injection sequence, the
 //!   topology, and the latency model — independent of thread timing — and
 //!   the equality gate (`tests/sharded_equality.rs`) holds the resulting
-//!   [`DeliveryLog`]s event-for-event identical to the single-queue
-//!   simulator across the churn/mobility/recovery batteries.
+//!   [`DeliveryLog`]s event-for-event identical to the heap discipline's
+//!   across the churn/mobility/recovery batteries.
 //! * **Coalesced fallback.** Conservative windows require every link to
-//!   cost at least one tick. When `LatencyModel::min_hop() == 0` (or one
-//!   shard is requested, or the partitioner cannot cut the tree), the whole
-//!   topology becomes a single shard and the calendar queue replays the
-//!   exact `(deliver_at, seq)` order of the single-queue simulator.
+//!   cost at least one tick. When `LatencyModel::min_hop() == 0` (or the
+//!   partitioner cannot cut the tree), the whole topology becomes a single
+//!   shard and the calendar queue replays the exact `(deliver_at, seq)`
+//!   order of the heap.
 //!
-//! [`Backend`] wraps either simulator behind one API; the engine layer
-//! picks one at build time from the requested shard count.
+//! Everything above the queue — clock, downed set, sever/heal, crash,
+//! recovery, injection, the merged ledger — lives once in
+//! [`Simulator`](crate::Simulator), which picks this discipline when more
+//! than one shard is requested.
 
-use crate::latency::{LatencyModel, LatencySummary};
-use crate::sim::{Ctx, DeliveryLog, NodeBehavior, Simulator};
-use crate::topology::{NodeId, RegraftDelta, Topology, TopologyError};
+use crate::latency::LatencyModel;
+use crate::node::{Ctx, DeliveryLog, NodeBehavior};
+use crate::sim::{Counters, Net};
+use crate::topology::{NodeId, Topology};
 use crate::traffic::{ChargeKind, TrafficStats};
 use fsf_model::EventId;
-use fsf_telemetry::{flood_id, Noop, TelemetryEvent, TelemetrySink, TrafficClass};
+use fsf_telemetry::{flood_id, TelemetryEvent, TelemetrySink, TrafficClass};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A partition of a topology's nodes into connected subtree shards.
@@ -151,7 +155,6 @@ impl ShardPlan {
         sizes
     }
 }
-
 /// One scheduled envelope in a shard calendar. Ordered within a tick bucket
 /// by `(origin, seq)` — the deterministic cross-shard merge key.
 #[derive(Debug, Clone)]
@@ -180,11 +183,7 @@ struct ShardState<B: NodeBehavior, S: TelemetrySink> {
     calendar: BTreeMap<u64, Vec<Entry<B::Msg>>>,
     queued: usize,
     next_seq: u64,
-    scheduled_total: u64,
-    steps: u64,
-    queue_drops: u64,
-    dropped_to_downed: u64,
-    dropped_severed: u64,
+    counts: Counters,
     /// Highest tick this shard has processed (drops included).
     last_tick: u64,
     stats: TrafficStats,
@@ -203,11 +202,7 @@ impl<B: NodeBehavior, S: TelemetrySink> ShardState<B, S> {
             calendar: BTreeMap::new(),
             queued: 0,
             next_seq: 0,
-            scheduled_total: 0,
-            steps: 0,
-            queue_drops: 0,
-            dropped_to_downed: 0,
-            dropped_severed: 0,
+            counts: Counters::default(),
             last_tick: 0,
             stats: TrafficStats::new(),
             deliveries: DeliveryLog::new(),
@@ -225,7 +220,8 @@ impl<B: NodeBehavior, S: TelemetrySink> ShardState<B, S> {
     }
 
     /// Process every queued event strictly below `cap`, in
-    /// `(deliver_at, origin, seq)` order. Returns `(handled, popped)`.
+    /// `(deliver_at, origin, seq)` order, stopping early once `budget`
+    /// entries were popped. Returns `(handled, popped)`.
     #[allow(clippy::too_many_arguments)]
     fn advance(
         &mut self,
@@ -240,7 +236,7 @@ impl<B: NodeBehavior, S: TelemetrySink> ShardState<B, S> {
         let mut handled = 0u64;
         let mut popped = 0u64;
         let mut outbox: Vec<(NodeId, B::Msg, ChargeKind, u64)> = Vec::new();
-        while let Some(t) = self.head() {
+        'drain: while let Some(t) = self.head() {
             if t >= cap {
                 break;
             }
@@ -248,24 +244,22 @@ impl<B: NodeBehavior, S: TelemetrySink> ShardState<B, S> {
             self.queued -= bucket.len();
             bucket.sort_by_key(|e| (e.origin, e.seq));
             self.last_tick = t;
-            for entry in bucket {
-                popped += 1;
-                if popped > budget {
-                    let mut msg = format!(
-                        "simulator exceeded {} steps at virtual time {} with {} messages \
-                         queued — forwarding loop? (shard {})",
-                        budget, t, self.queued, self.id
-                    );
-                    if S::ENABLED {
-                        for ev in self.sink.recent(10) {
-                            msg.push_str(&format!("\n    {ev:?}"));
-                        }
-                    }
-                    panic!("{msg}");
+            let mut bucket = bucket.into_iter();
+            while let Some(entry) = bucket.next() {
+                if popped == budget {
+                    // out of budget: the rest of the bucket goes back, so
+                    // the runaway report reads exact depths
+                    let rest = self.calendar.entry(t).or_default();
+                    let before = rest.len();
+                    rest.push(entry);
+                    rest.extend(bucket);
+                    self.queued += rest.len() - before;
+                    break 'drain;
                 }
+                popped += 1;
                 if down.contains(&entry.to) {
-                    self.queue_drops += 1;
-                    self.dropped_to_downed += 1;
+                    self.counts.queue_drops += 1;
+                    self.counts.dropped_to_downed += 1;
                     if S::ENABLED {
                         self.sink.record(TelemetryEvent::DroppedDowned {
                             at: t,
@@ -311,7 +305,7 @@ impl<B: NodeBehavior, S: TelemetrySink> ShardState<B, S> {
                         msg,
                     };
                     self.next_seq += 1;
-                    self.scheduled_total += 1;
+                    self.counts.scheduled_total += 1;
                     let dest = plan.shard_of(to);
                     if S::ENABLED {
                         self.sink.record(TelemetryEvent::Scheduled {
@@ -326,11 +320,11 @@ impl<B: NodeBehavior, S: TelemetrySink> ShardState<B, S> {
                         });
                     }
                     // Severed links drop at the sender's radio, at schedule
-                    // time — same rule as the single simulator, so the drop
-                    // decision never depends on when a shard pops the entry.
+                    // time — same rule as the heap, so the drop decision
+                    // never depends on when a shard pops the entry.
                     if entry.to != to && topology.is_severed(entry.to, to) {
-                        self.queue_drops += 1;
-                        self.dropped_severed += 1;
+                        self.counts.queue_drops += 1;
+                        self.counts.dropped_severed += 1;
                         if S::ENABLED {
                             self.sink.record(TelemetryEvent::DroppedSevered {
                                 at: t,
@@ -350,79 +344,51 @@ impl<B: NodeBehavior, S: TelemetrySink> ShardState<B, S> {
                 }
             }
         }
-        self.steps += handled;
+        self.counts.steps += handled;
         (handled, popped)
     }
 }
 
-/// Sharded conservative-parallel counterpart of [`Simulator`]: the same
-/// deterministic semantics, executed over per-subtree calendar queues that
-/// advance concurrently within conservative lookahead windows. See the
-/// module docs for the protocol.
+/// The shards discipline's state: the plan, the per-shard calendars with
+/// the nodes they own, and the lookahead graph between them.
 #[derive(Debug)]
-pub struct ShardedSimulator<B: NodeBehavior + Send, S: TelemetrySink = Noop>
-where
-    B::Msg: Send,
-{
-    topology: Topology,
-    latency: LatencyModel,
-    plan: ShardPlan,
+pub(crate) struct Shards<B: NodeBehavior, S: TelemetrySink> {
+    pub(crate) plan: ShardPlan,
     /// Global node id → index within its shard's `nodes` vector.
     node_slot: Vec<u32>,
     shards: Vec<ShardState<B, S>>,
-    sink: S,
     /// Completed conservative rounds (the `round` stamp of
     /// [`TelemetryEvent::ShardRound`] profiles).
     rounds: u64,
     /// Shard adjacency with the minimum latency of any crossing link —
-    /// the `L(r,s)` of the lookahead rule. Rebuilt on regraft.
+    /// the `L(r,s)` of the lookahead rule. Rebuilt on every topology
+    /// mutation.
     shard_graph: Vec<Vec<(usize, u64)>>,
-    merged_stats: TrafficStats,
-    merged_deliveries: DeliveryLog,
-    now: u64,
-    max_steps_per_run: u64,
-    down: BTreeSet<NodeId>,
-    /// Injections swallowed at downed nodes (per-shard drops are counted
-    /// in the shard states).
-    injection_drops: u64,
+    /// Worker threads per round: `min(shards, available cores)`; 1 runs
+    /// shards inline on the calling thread.
     workers: usize,
 }
 
-impl<B: NodeBehavior + Send> ShardedSimulator<B>
+impl<B: NodeBehavior + Send, S: TelemetrySink> Shards<B, S>
 where
     B::Msg: Send,
 {
-    /// Build with an explicit latency model, partitioning into (at most)
-    /// `shards` subtree shards. Zero-capable latency models force the
-    /// coalesced single-shard plan (see the module docs).
-    pub fn with_latency(
-        topology: Topology,
-        latency: LatencyModel,
-        shards: usize,
-        make_node: impl FnMut(NodeId, &Topology) -> B,
-    ) -> Self {
-        Self::with_sink(topology, latency, Noop, shards, make_node)
-    }
-}
-
-impl<B: NodeBehavior + Send, S: TelemetrySink> ShardedSimulator<B, S>
-where
-    B::Msg: Send,
-{
-    /// Build with an explicit latency model and telemetry sink (see
-    /// [`Self::with_latency`]). Every shard records into a clone of `sink`;
-    /// a [`fsf_telemetry::Recorder`] shares one store across clones.
-    pub fn with_sink(
-        topology: Topology,
-        latency: LatencyModel,
-        sink: S,
+    /// Partition into (at most) `shards` subtree shards and build every
+    /// node straight into its shard. Zero-capable latency models force the
+    /// coalesced single-shard plan (see the module docs). Every shard
+    /// records into a clone of `sink`; a [`fsf_telemetry::Recorder`] shares
+    /// one store across clones.
+    pub(crate) fn new(
+        topology: &Topology,
+        latency: &LatencyModel,
+        sink: &S,
         shards: usize,
         mut make_node: impl FnMut(NodeId, &Topology) -> B,
     ) -> Self {
         let plan = if latency.min_hop() == 0 {
             ShardPlan::single(topology.len())
         } else {
-            ShardPlan::partition(&topology, shards)
+            ShardPlan::partition(topology, shards)
         };
         let mut shards: Vec<ShardState<B, S>> = (0..plan.shards())
             .map(|id| ShardState::new(id, sink.clone()))
@@ -431,57 +397,46 @@ where
         for id in topology.nodes() {
             let s = plan.shard_of(id);
             node_slot[id.0 as usize] = shards[s].nodes.len() as u32;
-            shards[s].nodes.push(make_node(id, &topology));
+            shards[s].nodes.push(make_node(id, topology));
         }
-        let workers = Self::default_workers(plan.shards());
-        let mut sim = ShardedSimulator {
-            shard_graph: Vec::new(),
-            topology,
-            latency,
-            plan,
-            node_slot,
-            shards,
-            sink,
-            rounds: 0,
-            merged_stats: TrafficStats::new(),
-            merged_deliveries: DeliveryLog::new(),
-            now: 0,
-            max_steps_per_run: Simulator::<B>::DEFAULT_MAX_STEPS,
-            down: BTreeSet::new(),
-            injection_drops: 0,
-            workers,
-        };
-        sim.rebuild_shard_graph();
-        sim
-    }
-
-    fn default_workers(shards: usize) -> usize {
         let cores = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
-        shards.min(cores)
+        let mut queue = Shards {
+            workers: plan.shards().min(cores),
+            plan,
+            node_slot,
+            shards,
+            rounds: 0,
+            shard_graph: Vec::new(),
+        };
+        queue.rebuild_shard_graph(topology, latency);
+        queue
     }
 
-    fn rebuild_shard_graph(&mut self) {
+    /// Recompute the lookahead graph. Must run after every topology
+    /// mutation and *before* anything is scheduled against the new
+    /// topology: a healed link may lower the conservative bound, and a
+    /// round against the stale graph would overshoot `run_until`'s boundary.
+    pub(crate) fn rebuild_shard_graph(&mut self, topology: &Topology, latency: &LatencyModel) {
         let s = self.plan.shards();
         let mut min_link: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-        for u in self.topology.nodes() {
+        for u in topology.nodes() {
             let su = self.plan.shard_of(u);
-            for &v in self.topology.neighbors(u) {
+            for &v in topology.neighbors(u) {
                 if v <= u {
                     continue;
                 }
                 // a severed link carries no messages, so it must not lower
-                // the conservative lookahead bound (and a heal must widen
-                // it again — callers rebuild after every mutation)
-                if self.topology.is_severed(u, v) {
+                // the conservative lookahead bound
+                if topology.is_severed(u, v) {
                     continue;
                 }
                 let sv = self.plan.shard_of(v);
                 if su == sv {
                     continue;
                 }
-                let d = self.latency.delay(u, v);
+                let d = latency.delay(u, v);
                 let key = (su.min(sv), su.max(sv));
                 min_link
                     .entry(key)
@@ -546,178 +501,49 @@ where
             .collect()
     }
 
-    /// Override the worker-thread count (defaults to
-    /// `min(shards, available cores)`; 1 runs shards inline on the calling
-    /// thread, which is fastest on single-core hosts).
-    pub fn set_workers(&mut self, workers: usize) {
+    /// Thread-timing determinism hook: override the per-round worker count.
+    #[cfg(test)]
+    pub(crate) fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
     }
 
-    /// Override the runaway-protection step budget.
-    pub fn set_max_steps(&mut self, max: u64) {
-        self.max_steps_per_run = max;
-    }
-
-    /// The active shard plan.
-    #[must_use]
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// The topology being simulated.
-    #[must_use]
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// Immutable access to a node's state.
-    ///
-    /// # Panics
-    /// Panics with a named-id message on unknown node ids.
-    #[must_use]
-    pub fn node(&self, id: NodeId) -> &B {
-        let n = self.topology.len();
-        if id.0 as usize >= n {
-            panic!("unknown NodeId {id}: topology has {n} nodes (0..{n})");
-        }
+    pub(crate) fn node(&self, id: NodeId) -> &B {
         &self.shards[self.plan.shard_of(id)].nodes[self.node_slot[id.0 as usize] as usize]
     }
 
-    /// Mutable access to a node's state.
-    ///
-    /// # Panics
-    /// Panics with a named-id message on unknown node ids.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut B {
-        let n = self.topology.len();
-        if id.0 as usize >= n {
-            panic!("unknown NodeId {id}: topology has {n} nodes (0..{n})");
-        }
+    pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut B {
         &mut self.shards[self.plan.shard_of(id)].nodes[self.node_slot[id.0 as usize] as usize]
     }
 
-    /// Is the node marked down (crashed)?
-    #[must_use]
-    pub fn is_down(&self, id: NodeId) -> bool {
-        self.down.contains(&id)
-    }
-
-    /// The virtual clock (see [`Simulator::now`]).
-    #[must_use]
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
     /// Messages currently scheduled but not yet delivered, over all shards.
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
+    pub(crate) fn queued(&self) -> usize {
         self.shards.iter().map(|s| s.queued).sum()
     }
 
-    /// Every envelope ever enqueued (see [`Simulator::scheduled_total`];
-    /// the same conservation invariant holds per pause point).
-    #[must_use]
-    pub fn scheduled_total(&self) -> u64 {
-        self.shards.iter().map(|s| s.scheduled_total).sum()
-    }
-
-    /// Enqueued messages dropped instead of processed.
-    #[must_use]
-    pub fn dropped_from_queue(&self) -> u64 {
-        self.shards.iter().map(|s| s.queue_drops).sum()
-    }
-
-    /// Messages dropped because their destination was down, injections
-    /// included.
-    #[must_use]
-    pub fn dropped_to_downed(&self) -> u64 {
-        self.injection_drops + self.shards.iter().map(|s| s.dropped_to_downed).sum::<u64>()
-    }
-
-    /// Messages dropped at the sender's radio because the link was severed.
-    #[must_use]
-    pub fn dropped_severed(&self) -> u64 {
-        self.shards.iter().map(|s| s.dropped_severed).sum()
-    }
-
-    /// Sever the link between two adjacent nodes (see
-    /// [`Simulator::sever_link`]). The shard lookahead graph is rebuilt
-    /// immediately: a severed crossing link no longer bounds the
-    /// conservative window.
-    pub fn sever_link(&mut self, a: NodeId, b: NodeId) -> Result<(), TopologyError> {
-        self.topology.sever_link(a, b)?;
-        if S::ENABLED {
-            self.sink.record(TelemetryEvent::LinkSevered {
-                at: self.now,
-                a: a.0,
-                b: b.0,
-            });
+    /// Broadcast an injection time to every shard log, so deliveries anchor
+    /// wherever the subscriber lives.
+    pub(crate) fn note_injection(&mut self, event: EventId, at: u64) {
+        for shard in &mut self.shards {
+            shard.deliveries.note_injection(event, at);
         }
-        self.rebuild_shard_graph();
-        Ok(())
     }
 
-    /// Heal a severed link (see [`Simulator::heal_link`]). The lookahead
-    /// fixpoint is recomputed before any reconciliation traffic is
-    /// scheduled: the re-enabled link may lower the conservative bound, and
-    /// running a round against the stale graph would overshoot
-    /// `run_until`'s boundary.
-    pub fn heal_link(&mut self, a: NodeId, b: NodeId) -> Result<(), TopologyError> {
-        let was_severed = self.topology.is_severed(a, b);
-        self.topology.heal_link(a, b)?;
-        if !was_severed {
-            return Ok(());
-        }
-        if S::ENABLED {
-            self.sink.record(TelemetryEvent::LinkHealed {
-                at: self.now,
-                a: a.0,
-                b: b.0,
-            });
-        }
-        self.rebuild_shard_graph();
-        let now = self.now;
-        let mut outbox: Vec<(NodeId, B::Msg, ChargeKind, u64)> = Vec::new();
-        for (node, peer) in [(a, b), (b, a)] {
-            if self.down.contains(&node) {
-                continue;
-            }
-            let s = self.plan.shard_of(node);
-            let slot = self.node_slot[node.0 as usize] as usize;
-            {
-                let shard = &mut self.shards[s];
-                let mut ctx = Ctx::external(
-                    node,
-                    self.topology.neighbors(node),
-                    now,
-                    &mut outbox,
-                    &mut shard.deliveries,
-                );
-                shard.nodes[slot].on_link_up(peer, &mut ctx);
-            }
-            for (to, msg, kind, units) in outbox.drain(..) {
-                self.schedule_external(s, node, to, msg, kind, units);
-            }
-        }
-        self.refresh_merged();
-        Ok(())
-    }
-
-    /// Charge and schedule one send made outside the pump (recovery or
+    /// Enqueue one send made outside the rounds (injection, recovery,
     /// link-up reconciliation), minting a fresh causal flood in the sender
     /// shard's sequence space. Honors the severed-at-the-radio drop rule.
-    fn schedule_external(
+    #[allow(clippy::too_many_arguments)] // one enqueue, fully described
+    pub(crate) fn schedule_external(
         &mut self,
-        s: usize,
+        net: &mut Net<'_, S>,
         from: NodeId,
         to: NodeId,
         msg: B::Msg,
-        kind: ChargeKind,
+        deliver_at: u64,
+        class: TrafficClass,
         units: u64,
     ) {
-        let now = self.now;
-        let at = now + self.latency.delay(from, to);
+        let s = self.plan.shard_of(from);
         let sender = &mut self.shards[s];
-        sender.stats.charge(kind, from, to, units);
         let flood = flood_id(s as u32, sender.next_seq);
         let entry = Entry {
             origin: s as u32,
@@ -728,27 +554,26 @@ where
             msg,
         };
         sender.next_seq += 1;
-        sender.scheduled_total += 1;
+        net.counts.scheduled_total += 1;
         let dest = self.plan.shard_of(to);
         if S::ENABLED {
-            self.sink.record(TelemetryEvent::Scheduled {
-                at: now,
-                deliver_at: at,
+            net.sink.record(TelemetryEvent::Scheduled {
+                at: *net.now,
+                deliver_at,
                 from: from.0,
                 to: to.0,
                 shard: dest as u32,
                 flood,
-                class: kind.traffic_class(),
+                class,
                 units,
             });
         }
-        if from != to && self.topology.is_severed(from, to) {
-            let sender = &mut self.shards[s];
-            sender.queue_drops += 1;
-            sender.dropped_severed += 1;
+        if from != to && net.topology.is_severed(from, to) {
+            net.counts.queue_drops += 1;
+            net.counts.dropped_severed += 1;
             if S::ENABLED {
-                self.sink.record(TelemetryEvent::DroppedSevered {
-                    at: now,
+                net.sink.record(TelemetryEvent::DroppedSevered {
+                    at: *net.now,
                     from: from.0,
                     to: to.0,
                     shard: s as u32,
@@ -757,222 +582,54 @@ where
             }
             return;
         }
-        self.shards[dest].push(at, entry);
+        self.shards[dest].push(deliver_at, entry);
     }
 
-    /// Messages processed by live nodes since construction.
-    #[must_use]
-    pub fn steps(&self) -> u64 {
-        self.shards.iter().map(|s| s.steps).sum()
-    }
-
-    /// Accumulated traffic counters, merged over shards.
-    #[must_use]
-    pub fn stats(&self) -> &TrafficStats {
-        &self.merged_stats
-    }
-
-    /// Mutable access to the merged counters (engine wrappers charge
-    /// management-plane traffic directly).
-    pub fn stats_mut(&mut self) -> &mut TrafficStats {
-        &mut self.merged_stats
-    }
-
-    /// Accumulated end-user deliveries, merged over shards.
-    #[must_use]
-    pub fn deliveries(&self) -> &DeliveryLog {
-        &self.merged_deliveries
-    }
-
-    /// Delivery-latency percentiles over the merged log.
-    #[must_use]
-    pub fn latency_summary(&self) -> LatencySummary {
-        self.merged_deliveries.latency_summary()
-    }
-
-    /// Register an injection time for latency accounting. Broadcast to
-    /// every shard log so deliveries anchor wherever the subscriber lives.
-    pub fn note_injection(&mut self, event: EventId, at: u64) {
+    /// Purge corpse-bound entries from EVERY shard, not just the corpse's
+    /// own: cross-shard routing normally lands them in `shard_of(crashed)`,
+    /// but entries parked in another shard's calendar or outgoing buffer
+    /// would otherwise survive as stale tombstones and skew the
+    /// conservation ledger.
+    pub(crate) fn purge(&mut self, crashed: NodeId, net: &mut Net<'_, S>) {
         for shard in &mut self.shards {
-            shard.deliveries.note_injection(event, at);
-        }
-        self.merged_deliveries.note_injection(event, at);
-    }
-
-    /// Inject a local item at `node`, due at the current virtual time.
-    pub fn inject(&mut self, node: NodeId, msg: B::Msg) {
-        self.inject_at(node, msg, self.now);
-    }
-
-    /// Inject a local item scheduled for virtual time `at` (clamped to the
-    /// present). Injections at downed nodes are dropped and counted.
-    pub fn inject_at(&mut self, node: NodeId, msg: B::Msg, at: u64) {
-        if self.down.contains(&node) {
-            self.injection_drops += 1;
-            return;
-        }
-        let s = self.plan.shard_of(node);
-        let shard = &mut self.shards[s];
-        // every injection mints a fresh causal flood id in its shard's
-        // sequence space
-        let flood = flood_id(s as u32, shard.next_seq);
-        let entry = Entry {
-            origin: s as u32,
-            seq: shard.next_seq,
-            from: node,
-            to: node,
-            flood,
-            msg,
-        };
-        shard.next_seq += 1;
-        shard.scheduled_total += 1;
-        let deliver_at = at.max(self.now);
-        if S::ENABLED {
-            self.sink.record(TelemetryEvent::Scheduled {
-                at: self.now,
-                deliver_at,
-                from: node.0,
-                to: node.0,
-                shard: s as u32,
-                flood,
-                class: TrafficClass::Inject,
-                units: 1,
+            let mut purged = 0u64;
+            shard.calendar.retain(|_, bucket| {
+                let before = bucket.len();
+                bucket.retain(|e| e.to != crashed);
+                purged += (before - bucket.len()) as u64;
+                !bucket.is_empty()
             });
-        }
-        shard.push(deliver_at, entry);
-    }
-
-    /// Crash a node (see [`Simulator::crash_and_regraft`]): the purge only
-    /// touches the corpse's shard calendar, in place.
-    pub fn crash_and_regraft(
-        &mut self,
-        crashed: NodeId,
-        anchor: NodeId,
-    ) -> Result<RegraftDelta, TopologyError> {
-        if self.down.contains(&anchor) {
-            return Err(TopologyError::BadEdge(crashed.0, anchor.0));
-        }
-        let (topology, delta) = self.topology.regraft_with_delta(crashed, anchor)?;
-        self.topology = topology;
-        if self.down.insert(crashed) {
-            // Purge corpse-bound entries from EVERY shard, not just the
-            // corpse's own: cross-shard routing normally lands them in
-            // `shard_of(crashed)`, but entries parked in another shard's
-            // calendar or outgoing buffer would otherwise survive as stale
-            // tombstones and skew the conservation ledger.
-            for shard in &mut self.shards {
-                let mut purged = 0u64;
-                shard.calendar.retain(|_, bucket| {
-                    let before = bucket.len();
-                    bucket.retain(|e| e.to != crashed);
-                    purged += (before - bucket.len()) as u64;
-                    !bucket.is_empty()
+            shard.queued -= purged as usize;
+            // outgoing entries were scheduled but never pushed, so they
+            // are absent from `queued` — drop-count them all the same
+            let before = shard.outgoing.len();
+            shard.outgoing.retain(|(_, _, e)| e.to != crashed);
+            let total = purged + (before - shard.outgoing.len()) as u64;
+            net.counts.queue_drops += total;
+            net.counts.dropped_to_downed += total;
+            if S::ENABLED && total > 0 {
+                net.sink.record(TelemetryEvent::Purged {
+                    at: *net.now,
+                    node: crashed.0,
+                    shard: shard.id as u32,
+                    count: total,
                 });
-                shard.queued -= purged as usize;
-                // outgoing entries were scheduled but never pushed, so they
-                // are absent from `queued` — drop-count them all the same
-                let before = shard.outgoing.len();
-                shard.outgoing.retain(|(_, _, e)| e.to != crashed);
-                let total = purged + (before - shard.outgoing.len()) as u64;
-                shard.queue_drops += total;
-                shard.dropped_to_downed += total;
-                if S::ENABLED && total > 0 {
-                    self.sink.record(TelemetryEvent::Purged {
-                        at: self.now,
-                        node: crashed.0,
-                        shard: shard.id as u32,
-                        count: total,
-                    });
-                }
             }
-        }
-        for id in 0..self.node_slot.len() {
-            let node = NodeId(id as u32);
-            if !self.down.contains(&node) {
-                let slot = self.node_slot[id] as usize;
-                self.shards[self.plan.shard_of(node)].nodes[slot]
-                    .on_topology_change(&self.topology);
-            }
-        }
-        self.rebuild_shard_graph();
-        Ok(delta)
-    }
-
-    /// Run the crash-recovery protocol (see [`Simulator::run_recovery`]):
-    /// nodes are visited in global id order, so the recovery timeline stays
-    /// deterministic across shard counts.
-    pub fn run_recovery(&mut self, delta: &RegraftDelta) {
-        let now = self.now;
-        let mut outbox: Vec<(NodeId, B::Msg, ChargeKind, u64)> = Vec::new();
-        for id in 0..self.node_slot.len() {
-            let node = NodeId(id as u32);
-            if self.down.contains(&node) {
-                continue;
-            }
-            let s = self.plan.shard_of(node);
-            let slot = self.node_slot[id] as usize;
-            let deliveries_before = self.shards[s].deliveries.complex_deliveries();
-            {
-                let shard = &mut self.shards[s];
-                let mut ctx = Ctx::external(
-                    node,
-                    self.topology.neighbors(node),
-                    now,
-                    &mut outbox,
-                    &mut shard.deliveries,
-                );
-                shard.nodes[slot].on_recover(delta, &mut ctx);
-            }
-            let sends = outbox.len() as u64;
-            for (to, msg, kind, units) in outbox.drain(..) {
-                // each recovery send starts a fresh causal flood: it was
-                // not triggered by any in-flight message
-                self.schedule_external(s, node, to, msg, kind, units);
-            }
-            if S::ENABLED {
-                let deliveries = self.shards[s].deliveries.complex_deliveries() - deliveries_before;
-                if deliveries + sends > 0 {
-                    self.sink.record(TelemetryEvent::Recovered {
-                        at: now,
-                        node: node.0,
-                        shard: s as u32,
-                        deliveries,
-                        sends,
-                    });
-                }
-            }
-        }
-        self.refresh_merged();
-    }
-
-    fn refresh_merged(&mut self) {
-        let merged_stats = &mut self.merged_stats;
-        let merged_deliveries = &mut self.merged_deliveries;
-        for shard in &mut self.shards {
-            let stats = std::mem::take(&mut shard.stats);
-            merged_stats.merge(&stats);
-            shard.deliveries.drain_into(merged_deliveries);
         }
     }
 
-    /// The runaway-protection panic message: the classic one-liner plus a
-    /// telemetry snapshot (per-shard queue depths, hottest destination,
-    /// and — when a recording sink is attached — the last lifecycle
-    /// events).
-    fn runaway_report(&self) -> String {
-        let mut msg = format!(
-            "simulator exceeded {} steps at virtual time {} with {} messages queued \
-             — forwarding loop?",
-            self.max_steps_per_run,
-            self.now,
-            self.queue_depth()
-        );
+    /// Per-shard queue depths, for the runaway report.
+    pub(crate) fn depths(&self) -> String {
         let depths: Vec<String> = self
             .shards
             .iter()
             .map(|s| format!("shard {}: {}", s.id, s.queued))
             .collect();
-        msg.push_str(&format!("\n  queue depths: {}", depths.join(", ")));
+        depths.join(", ")
+    }
+
+    /// The destination with the most queued messages (runaway report).
+    pub(crate) fn scan_hottest(&self) -> Option<(NodeId, u64)> {
         let mut queued_to: BTreeMap<NodeId, u64> = BTreeMap::new();
         for shard in &self.shards {
             for bucket in shard.calendar.values() {
@@ -981,26 +638,21 @@ where
                 }
             }
         }
-        if let Some((node, depth)) = queued_to.into_iter().max_by_key(|&(_, d)| d) {
-            msg.push_str(&format!("\n  hottest destination: {node} ({depth} queued)"));
-        }
-        if S::ENABLED {
-            let recent = self.sink.recent(10);
-            if !recent.is_empty() {
-                msg.push_str("\n  last lifecycle events:");
-                for ev in recent {
-                    msg.push_str(&format!("\n    {ev:?}"));
-                }
-            }
-        }
-        msg
+        queued_to.into_iter().max_by_key(|&(_, d)| d)
     }
 
     /// Round-based conservative pump (see the module docs). Returns the
-    /// number of messages handled.
-    fn pump(&mut self, horizon: Option<u64>) -> u64 {
+    /// number of messages handled, and whether it stopped because the next
+    /// round would exceed `budget` pops.
+    pub(crate) fn run_rounds(
+        &mut self,
+        horizon: Option<u64>,
+        budget: u64,
+        net: Net<'_, S>,
+    ) -> (u64, bool) {
         let mut total_handled = 0u64;
         let mut total_popped = 0u64;
+        let mut out_of_budget = false;
         loop {
             let heads: Vec<Option<u64>> = self.shards.iter().map(ShardState::head).collect();
             let Some(gmin) = heads.iter().flatten().copied().min() else {
@@ -1009,8 +661,13 @@ where
             if horizon.is_some_and(|t| gmin > t) {
                 break;
             }
+            if total_popped >= budget {
+                // at the barrier: every handoff is routed, depths are exact
+                out_of_budget = true;
+                break;
+            }
             let caps = self.round_caps(&heads, horizon);
-            let budget = self.max_steps_per_run - total_popped;
+            let budget = budget - total_popped;
             // Boolean bitmap, not a membership list: the threaded branch
             // below checks every shard index against it, and a
             // `Vec::contains` scan there is O(shards²) per round.
@@ -1025,11 +682,11 @@ where
             let mut drained = vec![0u64; self.shards.len()];
             {
                 let shards = &mut self.shards;
-                let topology = &self.topology;
-                let latency = &self.latency;
+                let topology = net.topology;
+                let latency = net.latency;
                 let plan = &self.plan;
                 let node_slot = &self.node_slot;
-                let down = &self.down;
+                let down = net.down;
                 if self.workers > 1 && runnable_count > 1 {
                     std::thread::scope(|sc| {
                         let mut handles = Vec::with_capacity(runnable_count);
@@ -1081,7 +738,7 @@ where
                 for s in 0..self.shards.len() {
                     let Some(head) = heads[s] else { continue };
                     let (cap, by_neighbor) = caps[s];
-                    self.sink.record(TelemetryEvent::ShardRound {
+                    net.sink.record(TelemetryEvent::ShardRound {
                         shard: s as u32,
                         round: self.rounds,
                         head,
@@ -1093,9 +750,6 @@ where
                 }
             }
             self.rounds += 1;
-            if total_popped > self.max_steps_per_run {
-                panic!("{}", self.runaway_report());
-            }
             // Route cross-shard handoffs at the barrier, in shard-id order:
             // the destination bucket sort key (origin, seq) makes arrival
             // order irrelevant, but routing deterministically keeps even
@@ -1107,350 +761,14 @@ where
                 }
             }
         }
-        if let Some(t) = horizon {
-            self.now = self.now.max(t);
+        // drain the per-shard clocks, counters and logs into the merged ones
+        for shard in &mut self.shards {
+            *net.now = (*net.now).max(shard.last_tick);
+            net.stats.merge(&std::mem::take(&mut shard.stats));
+            shard.deliveries.drain_into(net.deliveries);
+            net.counts.absorb(std::mem::take(&mut shard.counts));
         }
-        for s in &self.shards {
-            self.now = self.now.max(s.last_tick);
-        }
-        self.refresh_merged();
-        total_handled
-    }
-
-    /// Process queued messages until the network is quiescent.
-    pub fn run_to_quiescence(&mut self) -> u64 {
-        self.pump(None)
-    }
-
-    /// Advance virtual time to `t`, delivering exactly the messages due at
-    /// or before `t` (see [`Simulator::run_until`]).
-    pub fn run_until(&mut self, t: u64) -> u64 {
-        self.pump(Some(t))
-    }
-
-    /// Convenience: inject then run to quiescence.
-    pub fn inject_and_run(&mut self, node: NodeId, msg: B::Msg) -> u64 {
-        self.inject(node, msg);
-        self.run_to_quiescence()
-    }
-}
-
-/// One simulator behind one API: the single-queue oracle or the sharded
-/// conservative-parallel engine, chosen per run. Engines hold a `Backend`
-/// and never care which is active; `tests/sharded_equality.rs` gates the
-/// sharded mode on event-for-event [`DeliveryLog`] equality with the
-/// single mode.
-#[derive(Debug)]
-pub enum Backend<B: NodeBehavior + Send, S: TelemetrySink = Noop>
-where
-    B::Msg: Send,
-{
-    /// The original single-heap [`Simulator`] — the determinism oracle.
-    Single(Simulator<B, S>),
-    /// The sharded conservative-parallel simulator.
-    Sharded(ShardedSimulator<B, S>),
-}
-
-impl<B: NodeBehavior + Send> Backend<B>
-where
-    B::Msg: Send,
-{
-    /// Build with `shards` requested: 1 selects the single-queue oracle,
-    /// more selects the sharded engine.
-    pub fn build(
-        topology: Topology,
-        latency: LatencyModel,
-        shards: usize,
-        make_node: impl FnMut(NodeId, &Topology) -> B,
-    ) -> Self {
-        Self::build_with_sink(topology, latency, Noop, shards, make_node)
-    }
-}
-
-impl<B: NodeBehavior + Send, S: TelemetrySink> Backend<B, S>
-where
-    B::Msg: Send,
-{
-    /// Build with a telemetry sink (see [`Backend::build`]).
-    pub fn build_with_sink(
-        topology: Topology,
-        latency: LatencyModel,
-        sink: S,
-        shards: usize,
-        make_node: impl FnMut(NodeId, &Topology) -> B,
-    ) -> Self {
-        if shards <= 1 {
-            Backend::Single(Simulator::with_sink(topology, latency, sink, make_node))
-        } else {
-            Backend::Sharded(ShardedSimulator::with_sink(
-                topology, latency, sink, shards, make_node,
-            ))
-        }
-    }
-
-    /// Requested-or-effective shard count of the active backend.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        match self {
-            Backend::Single(_) => 1,
-            Backend::Sharded(s) => s.plan().shards(),
-        }
-    }
-
-    /// The single-queue simulator, when active.
-    ///
-    /// # Panics
-    /// Panics if the sharded backend is active — callers needing raw
-    /// simulator access (examples, probes) run single-shard.
-    #[must_use]
-    pub fn as_single(&self) -> &Simulator<B, S> {
-        match self {
-            Backend::Single(sim) => sim,
-            Backend::Sharded(_) => {
-                panic!("raw simulator access requires the single-shard backend")
-            }
-        }
-    }
-
-    /// See [`Simulator::topology`].
-    #[must_use]
-    pub fn topology(&self) -> &Topology {
-        match self {
-            Backend::Single(s) => s.topology(),
-            Backend::Sharded(s) => s.topology(),
-        }
-    }
-
-    /// See [`Simulator::node`].
-    #[must_use]
-    pub fn node(&self, id: NodeId) -> &B {
-        match self {
-            Backend::Single(s) => s.node(id),
-            Backend::Sharded(s) => s.node(id),
-        }
-    }
-
-    /// See [`Simulator::node_mut`].
-    pub fn node_mut(&mut self, id: NodeId) -> &mut B {
-        match self {
-            Backend::Single(s) => s.node_mut(id),
-            Backend::Sharded(s) => s.node_mut(id),
-        }
-    }
-
-    /// See [`Simulator::is_down`].
-    #[must_use]
-    pub fn is_down(&self, id: NodeId) -> bool {
-        match self {
-            Backend::Single(s) => s.is_down(id),
-            Backend::Sharded(s) => s.is_down(id),
-        }
-    }
-
-    /// See [`Simulator::now`].
-    #[must_use]
-    pub fn now(&self) -> u64 {
-        match self {
-            Backend::Single(s) => s.now(),
-            Backend::Sharded(s) => s.now(),
-        }
-    }
-
-    /// See [`Simulator::queue_depth`].
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        match self {
-            Backend::Single(s) => s.queue_depth(),
-            Backend::Sharded(s) => s.queue_depth(),
-        }
-    }
-
-    /// See [`Simulator::steps`].
-    #[must_use]
-    pub fn steps(&self) -> u64 {
-        match self {
-            Backend::Single(s) => s.steps(),
-            Backend::Sharded(s) => s.steps(),
-        }
-    }
-
-    /// See [`Simulator::scheduled_total`].
-    #[must_use]
-    pub fn scheduled_total(&self) -> u64 {
-        match self {
-            Backend::Single(s) => s.scheduled_total(),
-            Backend::Sharded(s) => s.scheduled_total(),
-        }
-    }
-
-    /// See [`Simulator::dropped_from_queue`].
-    #[must_use]
-    pub fn dropped_from_queue(&self) -> u64 {
-        match self {
-            Backend::Single(s) => s.dropped_from_queue(),
-            Backend::Sharded(s) => s.dropped_from_queue(),
-        }
-    }
-
-    /// See [`Simulator::dropped_to_downed`].
-    #[must_use]
-    pub fn dropped_to_downed(&self) -> u64 {
-        match self {
-            Backend::Single(s) => s.dropped_to_downed(),
-            Backend::Sharded(s) => s.dropped_to_downed(),
-        }
-    }
-
-    /// Accumulated traffic counters.
-    #[must_use]
-    pub fn stats(&self) -> &TrafficStats {
-        match self {
-            Backend::Single(s) => &s.stats,
-            Backend::Sharded(s) => s.stats(),
-        }
-    }
-
-    /// Mutable counters (engine wrappers charge management-plane traffic).
-    pub fn stats_mut(&mut self) -> &mut TrafficStats {
-        match self {
-            Backend::Single(s) => &mut s.stats,
-            Backend::Sharded(s) => s.stats_mut(),
-        }
-    }
-
-    /// Accumulated end-user deliveries.
-    #[must_use]
-    pub fn deliveries(&self) -> &DeliveryLog {
-        match self {
-            Backend::Single(s) => &s.deliveries,
-            Backend::Sharded(s) => s.deliveries(),
-        }
-    }
-
-    /// Register an injection time for latency accounting.
-    pub fn note_injection(&mut self, event: EventId, at: u64) {
-        match self {
-            Backend::Single(s) => s.deliveries.note_injection(event, at),
-            Backend::Sharded(s) => s.note_injection(event, at),
-        }
-    }
-
-    /// See [`Simulator::inject`].
-    pub fn inject(&mut self, node: NodeId, msg: B::Msg) {
-        match self {
-            Backend::Single(s) => s.inject(node, msg),
-            Backend::Sharded(s) => s.inject(node, msg),
-        }
-    }
-
-    /// See [`Simulator::inject_at`].
-    pub fn inject_at(&mut self, node: NodeId, msg: B::Msg, at: u64) {
-        match self {
-            Backend::Single(s) => s.inject_at(node, msg, at),
-            Backend::Sharded(s) => s.inject_at(node, msg, at),
-        }
-    }
-
-    /// See [`Simulator::dropped_severed`].
-    #[must_use]
-    pub fn dropped_severed(&self) -> u64 {
-        match self {
-            Backend::Single(s) => s.dropped_severed(),
-            Backend::Sharded(s) => s.dropped_severed(),
-        }
-    }
-
-    /// See [`Simulator::sever_link`].
-    pub fn sever_link(&mut self, a: NodeId, b: NodeId) -> Result<(), TopologyError> {
-        match self {
-            Backend::Single(s) => s.sever_link(a, b),
-            Backend::Sharded(s) => s.sever_link(a, b),
-        }
-    }
-
-    /// See [`Simulator::heal_link`].
-    pub fn heal_link(&mut self, a: NodeId, b: NodeId) -> Result<(), TopologyError> {
-        match self {
-            Backend::Single(s) => s.heal_link(a, b),
-            Backend::Sharded(s) => s.heal_link(a, b),
-        }
-    }
-
-    /// See [`Simulator::set_liveness`].
-    ///
-    /// # Panics
-    /// Panics on the sharded backend — the heartbeat detector runs on the
-    /// single-queue simulator only (the beat emitter is a global-clock
-    /// construct; a sharded port is a ROADMAP follow-on).
-    pub fn set_liveness(&mut self, period: u64, timeout: u64) {
-        match self {
-            Backend::Single(s) => s.set_liveness(period, timeout),
-            Backend::Sharded(_) => {
-                panic!("heartbeat liveness requires the single-shard backend")
-            }
-        }
-    }
-
-    /// See [`Simulator::suspicions`]. Empty on the sharded backend.
-    #[must_use]
-    pub fn suspicions(&self) -> Vec<(NodeId, NodeId)> {
-        match self {
-            Backend::Single(s) => s.suspicions(),
-            Backend::Sharded(_) => Vec::new(),
-        }
-    }
-
-    /// See [`Simulator::take_confirmed_dead`]. Empty on the sharded
-    /// backend.
-    pub fn take_confirmed_dead(&mut self) -> Vec<NodeId> {
-        match self {
-            Backend::Single(s) => s.take_confirmed_dead(),
-            Backend::Sharded(_) => Vec::new(),
-        }
-    }
-
-    /// See [`Simulator::crash_and_regraft`].
-    pub fn crash_and_regraft(
-        &mut self,
-        crashed: NodeId,
-        anchor: NodeId,
-    ) -> Result<RegraftDelta, TopologyError> {
-        match self {
-            Backend::Single(s) => s.crash_and_regraft(crashed, anchor),
-            Backend::Sharded(s) => s.crash_and_regraft(crashed, anchor),
-        }
-    }
-
-    /// See [`Simulator::run_recovery`].
-    pub fn run_recovery(&mut self, delta: &RegraftDelta) {
-        match self {
-            Backend::Single(s) => s.run_recovery(delta),
-            Backend::Sharded(s) => s.run_recovery(delta),
-        }
-    }
-
-    /// See [`Simulator::run_to_quiescence`].
-    pub fn run_to_quiescence(&mut self) -> u64 {
-        match self {
-            Backend::Single(s) => s.run_to_quiescence(),
-            Backend::Sharded(s) => s.run_to_quiescence(),
-        }
-    }
-
-    /// See [`Simulator::run_until`].
-    pub fn run_until(&mut self, t: u64) -> u64 {
-        match self {
-            Backend::Single(s) => s.run_until(t),
-            Backend::Sharded(s) => s.run_until(t),
-        }
-    }
-
-    /// See [`Simulator::set_max_steps`].
-    pub fn set_max_steps(&mut self, max: u64) {
-        match self {
-            Backend::Single(s) => s.set_max_steps(max),
-            Backend::Sharded(s) => s.set_max_steps(max),
-        }
+        (total_handled, out_of_budget)
     }
 }
 
@@ -1458,39 +776,7 @@ where
 mod tests {
     use super::*;
     use crate::builders;
-
-    /// The flooding test behaviour from the `sim` tests.
-    #[derive(Debug, Default)]
-    struct Flood {
-        seen: Vec<u64>,
-        seen_at: Vec<u64>,
-    }
-
-    impl NodeBehavior for Flood {
-        type Msg = u64;
-        fn on_message(&mut self, from: NodeId, msg: u64, ctx: &mut Ctx<'_, u64>) {
-            if self.seen.contains(&msg) {
-                return;
-            }
-            self.seen.push(msg);
-            self.seen_at.push(ctx.now());
-            let me = ctx.node();
-            for n in ctx.neighbors().to_vec() {
-                if n != from || from == me {
-                    ctx.send(n, msg, ChargeKind::Advertisement, 1);
-                }
-            }
-        }
-    }
-
-    fn sharded(n: usize, hop: u64, shards: usize) -> ShardedSimulator<Flood> {
-        ShardedSimulator::with_latency(
-            builders::balanced(n, 2),
-            LatencyModel::Uniform { hop },
-            shards,
-            |_, _| Flood::default(),
-        )
-    }
+    use crate::tests::{assert_conserved, flood_sim, tree};
 
     #[test]
     fn partitioner_carves_connected_balanced_shards() {
@@ -1529,194 +815,20 @@ mod tests {
 
     #[test]
     fn zero_latency_forces_the_coalesced_plan() {
-        let sim = ShardedSimulator::with_latency(
-            builders::balanced(31, 2),
-            LatencyModel::Zero,
-            4,
-            |_, _| Flood::default(),
-        );
-        assert_eq!(sim.plan().shards(), 1);
-    }
-
-    #[test]
-    fn sharded_flood_matches_single_sim_timing_and_traffic() {
-        for shards in [1, 2, 4] {
-            let mut sharded = sharded(63, 3, shards);
-            let mut single = Simulator::with_latency(
-                builders::balanced(63, 2),
-                LatencyModel::Uniform { hop: 3 },
-                |_, _| Flood::default(),
-            );
-            sharded.inject_and_run(NodeId(17), 7);
-            single.inject_and_run(NodeId(17), 7);
-            for n in 0..63u32 {
-                assert_eq!(
-                    sharded.node(NodeId(n)).seen_at,
-                    single.node(NodeId(n)).seen_at,
-                    "node n{n} at {shards} shards"
-                );
-            }
-            assert_eq!(sharded.now(), single.now());
-            assert_eq!(sharded.steps(), single.steps());
-            assert_eq!(sharded.stats().adv_msgs(), single.stats.adv_msgs());
-        }
-    }
-
-    #[test]
-    fn run_until_stops_at_the_exact_event_boundary_across_shard_counts() {
-        for shards in [1, 2, 4] {
-            let mut sim = sharded(31, 5, shards);
-            sim.inject(NodeId(0), 1);
-            // the root's children hear the flood at exactly t=5
-            let before = sim.run_until(4);
-            assert_eq!(before, 1, "{shards} shards: only the root by t=4");
-            let at = sim.run_until(5);
-            assert_eq!(at, 2, "{shards} shards: both children exactly at t=5");
-            assert_eq!(sim.now(), 5);
-            sim.run_to_quiescence();
-            assert_eq!(
-                sim.scheduled_total(),
-                sim.steps() + sim.dropped_from_queue() + sim.queue_depth() as u64,
-                "{shards} shards: conservation at quiescence"
-            );
-        }
-    }
-
-    #[test]
-    fn conservation_holds_at_every_pause_across_shard_counts() {
-        for shards in [1, 2, 4, 8] {
-            let mut sim = sharded(127, 2, shards);
-            sim.inject(NodeId(3), 1);
-            sim.inject_at(NodeId(77), 2, 4);
-            for t in [1, 3, 6, 9, 50] {
-                sim.run_until(t);
-                assert_eq!(
-                    sim.scheduled_total(),
-                    sim.steps() + sim.dropped_from_queue() + sim.queue_depth() as u64,
-                    "{shards} shards at t={t}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn crash_purge_stays_in_place_and_conserves_messages() {
-        for shards in [1, 2, 4] {
-            let mut sim = sharded(63, 4, shards);
-            sim.inject(NodeId(0), 1);
-            sim.run_until(5); // front is between depth 1 and depth 2
-            let depth_before = sim.queue_depth();
-            assert!(depth_before > 0);
-            // n5 (depth 2, child of n2) hears the flood at t=8 — not yet
-            sim.crash_and_regraft(NodeId(5), NodeId(2)).unwrap();
-            assert!(sim.is_down(NodeId(5)));
-            sim.run_to_quiescence();
-            assert!(sim.node(NodeId(5)).seen.is_empty(), "corpse heard nothing");
-            assert_eq!(
-                sim.scheduled_total(),
-                sim.steps() + sim.dropped_from_queue() + sim.queue_depth() as u64,
-                "{shards} shards"
-            );
-        }
-    }
-
-    #[test]
-    fn severed_links_drop_with_conservation_across_shard_counts() {
-        for shards in [1, 2, 4] {
-            let mut sim = sharded(63, 4, shards);
-            sim.sever_link(NodeId(0), NodeId(2)).unwrap();
-            sim.inject_and_run(NodeId(0), 1);
-            assert!(
-                sim.node(NodeId(2)).seen.is_empty(),
-                "{shards} shards: right subtree unreachable"
-            );
-            assert!(!sim.node(NodeId(1)).seen.is_empty());
-            assert!(sim.dropped_severed() > 0);
-            assert_eq!(
-                sim.scheduled_total(),
-                sim.steps() + sim.dropped_from_queue() + sim.queue_depth() as u64,
-                "{shards} shards: conservation across severed drops"
-            );
-            // heal: the next flood reaches the formerly cut-off subtree
-            sim.heal_link(NodeId(0), NodeId(2)).unwrap();
-            sim.inject_and_run(NodeId(0), 2);
-            assert_eq!(sim.node(NodeId(2)).seen, vec![2], "{shards} shards");
-        }
-    }
-
-    #[test]
-    fn sharded_severed_flood_matches_single_sim() {
-        for shards in [2, 4] {
-            let mut sharded = sharded(63, 3, shards);
-            let mut single = Simulator::with_latency(
-                builders::balanced(63, 2),
-                LatencyModel::Uniform { hop: 3 },
-                |_, _| Flood::default(),
-            );
-            sharded.sever_link(NodeId(1), NodeId(3)).unwrap();
-            single.sever_link(NodeId(1), NodeId(3)).unwrap();
-            sharded.inject_and_run(NodeId(17), 7);
-            single.inject_and_run(NodeId(17), 7);
-            for n in 0..63u32 {
-                assert_eq!(
-                    sharded.node(NodeId(n)).seen_at,
-                    single.node(NodeId(n)).seen_at,
-                    "node n{n} at {shards} shards"
-                );
-            }
-            assert_eq!(sharded.dropped_severed(), single.dropped_severed());
-            assert_eq!(sharded.steps(), single.steps());
-        }
-    }
-
-    #[test]
-    fn run_until_boundary_is_exact_across_a_sever_heal_interleaving() {
-        // The S4 hazard: a heal re-enables a link whose latency lowers the
-        // conservative bound — the fixpoint must be recomputed before the
-        // next round, or run_until(t) pops events past t.
-        for shards in [1, 2, 4] {
-            let mut sim = sharded(31, 5, shards);
-            // drops happen at schedule time, so cut before the root sends
-            sim.sever_link(NodeId(0), NodeId(1)).unwrap();
-            sim.inject(NodeId(0), 1);
-            sim.run_until(4);
-            // left child never hears flood 1; right child does at t=5
-            let at = sim.run_until(5);
-            assert_eq!(at, 1, "{shards} shards: only the right child at t=5");
-            sim.run_to_quiescence(); // flush flood 1 through the right half
-            assert!(sim.node(NodeId(1)).seen.is_empty());
-            let resume = sim.now();
-            sim.heal_link(NodeId(0), NodeId(1)).unwrap();
-            sim.inject_at(NodeId(0), 2, resume + 1);
-            // flood 2 reaches both children at exactly resume + 6
-            let before = sim.run_until(resume + 5);
-            assert_eq!(before, 1, "{shards} shards: only the root before that");
-            assert_eq!(sim.now(), resume + 5, "{shards} shards: clock at horizon");
-            let at_boundary = sim.run_until(resume + 6);
-            assert_eq!(
-                at_boundary, 2,
-                "{shards} shards: both children exactly at the boundary"
-            );
-            sim.run_to_quiescence();
-            assert_eq!(sim.node(NodeId(1)).seen, vec![2], "{shards} shards");
-            assert_eq!(
-                sim.scheduled_total(),
-                sim.steps() + sim.dropped_from_queue() + sim.queue_depth() as u64,
-                "{shards} shards: conservation after sever/heal"
-            );
-        }
+        let sim = flood_sim(builders::balanced(31, 2), LatencyModel::Zero, 4);
+        assert_eq!(sim.shards(), 1);
     }
 
     #[test]
     fn cross_shard_crash_purge_reconciles_every_calendar() {
-        // S2: corpse-bound entries must vanish from every shard's calendar
+        // corpse-bound entries must vanish from every shard's calendar
         // and outgoing buffer at purge time, with exact drop accounting.
         for shards in [2, 4] {
-            let mut sim = sharded(63, 4, shards);
+            let mut sim = tree(63, 4, shards);
             sim.inject(NodeId(0), 1);
             sim.run_until(5);
             sim.crash_and_regraft(NodeId(5), NodeId(2)).unwrap();
-            for shard in &sim.shards {
+            for shard in &sim.shard_queue().shards {
                 for bucket in shard.calendar.values() {
                     assert!(
                         bucket.iter().all(|e| e.to != NodeId(5)),
@@ -1726,20 +838,16 @@ mod tests {
                 assert!(shard.outgoing.is_empty());
             }
             sim.run_to_quiescence();
-            assert_eq!(
-                sim.scheduled_total(),
-                sim.steps() + sim.dropped_from_queue() + sim.queue_depth() as u64,
-                "{shards} shards"
-            );
+            assert_conserved(&sim, &format!("at {shards} shards"));
         }
     }
 
     #[test]
     fn worker_threads_produce_the_identical_schedule() {
-        let mut inline = sharded(127, 2, 4);
-        inline.set_workers(1);
-        let mut threaded = sharded(127, 2, 4);
-        threaded.set_workers(4);
+        let mut inline = tree(127, 2, 4);
+        inline.shard_queue().set_workers(1);
+        let mut threaded = tree(127, 2, 4);
+        threaded.shard_queue().set_workers(4);
         for sim in [&mut inline, &mut threaded] {
             sim.inject(NodeId(9), 1);
             sim.inject_at(NodeId(100), 2, 3);
@@ -1753,47 +861,5 @@ mod tests {
             );
         }
         assert_eq!(inline.steps(), threaded.steps());
-    }
-
-    #[test]
-    fn backend_build_selects_the_simulator_by_shard_count() {
-        for shards in [1, 4] {
-            let mut backend: Backend<Flood> = Backend::build(
-                builders::balanced(31, 2),
-                LatencyModel::Uniform { hop: 1 },
-                shards,
-                |_, _| Flood::default(),
-            );
-            assert_eq!(backend.shards(), shards);
-            backend.inject(NodeId(0), 5);
-            backend.run_to_quiescence();
-            assert_eq!(backend.node(NodeId(30)).seen, vec![5]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "forwarding loop")]
-    fn sharded_runaway_protection_trips() {
-        #[derive(Debug)]
-        struct PingPong;
-        impl NodeBehavior for PingPong {
-            type Msg = ();
-            fn on_message(&mut self, from: NodeId, _: (), ctx: &mut Ctx<'_, ()>) {
-                let to = if from == ctx.node() {
-                    ctx.neighbors()[0]
-                } else {
-                    from
-                };
-                ctx.send(to, (), ChargeKind::Event, 1);
-            }
-        }
-        let mut sim = ShardedSimulator::with_latency(
-            builders::line(8),
-            LatencyModel::Uniform { hop: 1 },
-            2,
-            |_, _| PingPong,
-        );
-        sim.set_max_steps(500);
-        sim.inject_and_run(NodeId(0), ());
     }
 }

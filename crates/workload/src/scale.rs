@@ -21,7 +21,7 @@ use fsf_model::{
     Advertisement, AttrId, Event, EventId, Point, SensorId, SubId, Subscription, Timestamp,
     ValueRange,
 };
-use fsf_network::{builders, Backend, ChargeKind, Ctx, LatencyModel, NodeBehavior, NodeId};
+use fsf_network::{builders, ChargeKind, Ctx, LatencyModel, NodeBehavior, NodeId, Simulator};
 use std::time::Instant;
 
 /// Parameters of the scale experiment.
@@ -167,7 +167,7 @@ fn flood_run(config: &ScaleConfig, shards: usize) -> (usize, u64, f64, bool) {
     let latency = LatencyModel::Uniform {
         hop: config.hop_latency,
     };
-    let mut net = Backend::build(topology, latency, shards, |_, _| RelayFlood::default());
+    let mut net = Simulator::build(topology, latency, shards, |_, _| RelayFlood::default());
     let effective = net.shards();
     // origins spread over the id space so every shard sees local traffic
     for f in 0..config.floods {

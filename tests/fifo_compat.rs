@@ -13,12 +13,11 @@
 use fsf::dynamics::{ChurnAction, ChurnPlan, ChurnPlanConfig};
 use fsf::network::{builders, ChargeKind, Ctx, DeliveryLog, NodeBehavior, Simulator, Topology};
 use fsf::prelude::*;
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 /// Who processed what, in order: `(processing node, sender)`.
-type Trace = Rc<RefCell<Vec<(NodeId, NodeId)>>>;
+type Trace = Arc<Mutex<Vec<(NodeId, NodeId)>>>;
 
 /// The pre-refactor simulator, verbatim: one global FIFO, pop from the
 /// front, push sends to the back, run to quiescence.
@@ -86,7 +85,7 @@ struct Traced {
 impl NodeBehavior for Traced {
     type Msg = PubSubMsg;
     fn on_message(&mut self, from: NodeId, msg: PubSubMsg, ctx: &mut Ctx<'_, PubSubMsg>) {
-        self.trace.borrow_mut().push((ctx.node(), from));
+        self.trace.lock().unwrap().push((ctx.node(), from));
         self.inner.on_message(from, msg, ctx);
     }
 }
@@ -140,10 +139,10 @@ fn zero_latency_mode_is_identical_to_the_legacy_fifo_on_30_seeds() {
         .with_teardown();
 
         let mut reference = RefFifo::new(topology.clone(), config);
-        let trace: Trace = Rc::new(RefCell::new(Vec::new()));
+        let trace: Trace = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Simulator::new(topology, |id, _| Traced {
             inner: PubSubNode::new(id, config),
-            trace: Rc::clone(&trace),
+            trace: Arc::clone(&trace),
         });
 
         for action in &plan.actions {
@@ -153,7 +152,7 @@ fn zero_latency_mode_is_identical_to_the_legacy_fifo_on_30_seeds() {
         }
 
         assert_eq!(
-            *trace.borrow(),
+            *trace.lock().unwrap(),
             reference.trace,
             "seed {seed:#x}: processing order diverged from the FIFO"
         );

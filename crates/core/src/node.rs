@@ -16,15 +16,13 @@
 //!   per link (Filter-Split-Forward) or per operator stream (the baselines'
 //!   "per subscription" result sets).
 
-use crate::events::{EventStore, SentScope};
+use crate::events::{Correlator, EventStore, LinkFrame, SentScope};
 use crate::ranking::RankPolicy;
 use crate::store::{AdvStore, AdvUpdate, Origin, SubStore};
-use fsf_model::{
-    complex_match, Advertisement, ComplexEvent, DimKey, Event, Operator, Subscription,
-};
+use fsf_model::{Advertisement, DimKey, Event, Operator, Subscription};
 use fsf_network::{ChargeKind, Ctx, NodeBehavior, NodeId};
 use fsf_subsumption::{FilterPolicy, MatchMode, SubscriptionFilter};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Result-set duplicate suppression granularity (Table II, "Event
 /// propagation" column).
@@ -752,21 +750,36 @@ impl PubSubNode {
         events: Vec<Event>,
         ctx: &mut Ctx<'_, PubSubMsg>,
     ) {
+        // Settle, then borrow: no operator comes or goes during a frame.
+        for store in self.subs.values_mut() {
+            store.uncovered.settle();
+            store.covered.settle();
+        }
         let neighbors: Vec<NodeId> = ctx.neighbors().to_vec();
         let mut frames: BTreeMap<NodeId, LinkFrame> = BTreeMap::new();
         for event in events {
             if !self.events.insert(event) {
                 continue; // duplicate or expired — nothing new can match
             }
-            // Local delivery first (j == n), then each neighbor except the
-            // sender (j ∈ neighbor(n) ∖ {m}), in deterministic order.
-            self.deliver_locally(&event, ctx);
+            // every pass shares its bands and records `sendTo` marks in it
+            let mut corr = Correlator::new(&self.events, event.timestamp);
+            let mut ops = Vec::new();
+            // Local delivery first (j == n) — from *all* local subscriptions,
+            // covered or not (Algorithm 5 line 9: "S = S_local") — then each
+            // neighbor but the sender (j ∈ neighbor(n) ∖ {m}), in order.
+            self.candidate_ops(Origin::Local, &event, true, &mut ops);
+            for op in &ops {
+                if let Some(complex) = corr.deliver(op) {
+                    ctx.deliver(op.sub(), &complex);
+                }
+            }
             for &j in &neighbors {
                 if Origin::Neighbor(j) == origin {
                     continue;
                 }
-                self.collect_forward(j, &event, &mut frames);
+                self.collect_forward(j, &event, &mut corr, &mut ops, &mut frames);
             }
+            self.events.apply(corr.finish());
         }
         for (j, frame) in frames {
             if !frame.batch.is_empty() {
@@ -780,146 +793,61 @@ impl PubSubNode {
         }
     }
 
-    /// Operators of `origin` that could involve `event`, via the candidate
-    /// query (both the sensor dimension and the attribute-type dimension) —
-    /// arrangement stab or inverted-index scan per the configured
-    /// [`MatchMode`].
-    fn candidate_ops(
-        store: &mut SubStore,
-        mode: MatchMode,
+    /// Fill `ops` with the operators of `origin` that could involve `event`
+    /// (the candidate query on its sensor and its attribute-type dimension,
+    /// per the configured [`MatchMode`]), borrowed from the settled tables.
+    fn candidate_ops<'a>(
+        &'a self,
+        origin: Origin,
         event: &Event,
         include_covered: bool,
-    ) -> Vec<Operator> {
-        let sensor_dim = DimKey::Sensor(event.sensor);
-        let attr_dim = DimKey::Attr(event.attr);
-        let mut ops: Vec<Operator> = Vec::new();
-        for d in [&sensor_dim, &attr_dim] {
-            ops.extend(store.uncovered.candidates_for(mode, d, event));
-        }
-        if include_covered {
-            for d in [&sensor_dim, &attr_dim] {
-                ops.extend(store.covered.candidates_for(mode, d, event));
-            }
-        }
-        ops
-    }
-
-    fn deliver_locally(&mut self, event: &Event, ctx: &mut Ctx<'_, PubSubMsg>) {
-        let mode = self.config.match_mode;
-        let Some(store) = self.subs.get_mut(&Origin::Local) else {
+        ops: &mut Vec<&'a Operator>,
+    ) {
+        ops.clear();
+        let Some(store) = self.subs.get(&origin) else {
             return;
         };
-        // Local users are served from *all* their subscriptions, covered or
-        // not (Algorithm 5 line 9: "S = S_local", "which are all whole").
-        let ops = Self::candidate_ops(store, mode, event, true);
-        // The event store's `by_time` map *is* the indexed window store:
-        // one range probe per distinct δt serves every operator sharing
-        // that correlation band, instead of one probe per operator.
-        let mut bands: BTreeMap<u64, Vec<Event>> = BTreeMap::new();
-        for op in ops {
-            let dt = op.delta_t();
-            let band: &Vec<Event> = bands.entry(dt).or_insert_with(|| {
-                self.events
-                    .correlation_band(event.timestamp, dt)
-                    .into_iter()
-                    .copied()
-                    .collect()
-            });
-            let band_refs: Vec<&Event> = band.iter().collect();
-            let Some(m) = complex_match(&band_refs, &op) else {
-                continue;
-            };
-            let scope = SentScope::LocalSub(op.sub());
-            let new_ids: Vec<_> = m
-                .participants
-                .iter()
-                .map(|&i| band[i].id)
-                .filter(|id| !self.events.was_sent(*id, &scope))
-                .collect();
-            if new_ids.is_empty() {
-                continue;
-            }
-            let complex = ComplexEvent::new(m.participants.iter().map(|&i| band[i]).collect());
-            ctx.deliver(op.sub(), &complex);
-            for id in new_ids {
-                self.events.mark_sent(id, SentScope::LocalSub(op.sub()));
+        let dims = [DimKey::Sensor(event.sensor), DimKey::Attr(event.attr)];
+        let tables = [&store.uncovered, &store.covered];
+        for table in &tables[..1 + usize::from(include_covered)] {
+            for d in &dims {
+                table.candidates(self.config.match_mode, d, event, ops);
             }
         }
     }
 
     /// The per-neighbor half of Algorithm 5 for one event, accumulating
-    /// into the per-link frame instead of sending — the frame is flushed by
-    /// [`Self::handle_event_batch`] once the whole incoming frame is
-    /// processed. Match semantics, `was_sent` dedup marks, and charge units
-    /// are computed exactly as the unbatched sender did.
-    fn collect_forward(
-        &mut self,
+    /// into the per-link frame that [`Self::handle_event_batch`] flushes
+    /// once the incoming frame is processed. Match semantics, `sendTo` dedup
+    /// marks and charge units are exactly the unbatched sender's.
+    fn collect_forward<'a>(
+        &'a self,
         j: NodeId,
         event: &Event,
+        corr: &mut Correlator<'a>,
+        ops: &mut Vec<&'a Operator>,
         frames: &mut BTreeMap<NodeId, LinkFrame>,
     ) {
-        let mode = self.config.match_mode;
-        let Some(store) = self.subs.get_mut(&Origin::Neighbor(j)) else {
-            return;
-        };
-        let ops = Self::candidate_ops(store, mode, event, false);
+        self.candidate_ops(Origin::Neighbor(j), event, false, ops);
         if ops.is_empty() {
             return;
         }
-        let mut bands: BTreeMap<u64, Vec<Event>> = BTreeMap::new();
-        let mut marks: Vec<(fsf_model::EventId, SentScope)> = Vec::new();
         let frame = frames.entry(j).or_default();
-        for op in &ops {
-            let dt = op.delta_t();
-            let band: &Vec<Event> = bands.entry(dt).or_insert_with(|| {
-                self.events
-                    .correlation_band(event.timestamp, dt)
-                    .into_iter()
-                    .copied()
-                    .collect()
-            });
-            let band_refs: Vec<&Event> = band.iter().collect();
-            let Some(m) = complex_match(&band_refs, op) else {
-                continue;
-            };
-            let scope = match self.config.dedup {
+        for op in ops.iter() {
+            let scope = || match self.config.dedup {
                 DedupMode::PerLink => SentScope::Link(j),
                 DedupMode::PerOperator => SentScope::LinkOp(j, op.key()),
             };
-            let mut new_events: Vec<Event> = Vec::new();
-            for &i in &m.participants {
-                let id = band[i].id;
-                if self.events.was_sent(id, &scope)
-                    || marks.iter().any(|(mid, ms)| *mid == id && *ms == scope)
-                {
-                    continue;
-                }
-                new_events.push(band[i]);
+            let Some(scope) = corr.correlate(op, scope) else {
+                continue;
+            };
+            self.config.rank.select(&mut corr.fresh);
+            if !corr.fresh.is_empty() {
+                corr.fresh.iter().for_each(|s| frame.push(s.event()));
+                corr.mark_fresh(scope);
             }
-            let selected = self.config.rank.select(new_events);
-            for e in &selected {
-                marks.push((e.id, scope.clone()));
-                frame.units += 1;
-                if frame.ids.insert(e.id) {
-                    frame.batch.push(*e);
-                }
-            }
-        }
-        for (id, scope) in marks {
-            self.events.mark_sent(id, scope);
         }
     }
-}
-
-/// The accumulating per-link outgoing frame of one batched matching round:
-/// the events to ship (deduplicated by id — a constituent reaching the same
-/// link via several triggering events travels once; the receiver's event
-/// store would drop the duplicate anyway) and the summed charge units.
-#[derive(Debug, Default)]
-struct LinkFrame {
-    batch: Vec<Event>,
-    ids: BTreeSet<fsf_model::EventId>,
-    units: u64,
 }
 
 impl NodeBehavior for PubSubNode {

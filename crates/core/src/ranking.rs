@@ -26,18 +26,15 @@ pub enum RankPolicy {
 }
 
 impl RankPolicy {
-    /// Apply the policy: sort candidates by rank and truncate.
+    /// Apply the policy in place: sort candidates by rank and truncate.
     ///
     /// The input is the batch of *new* (not-yet-sent) matching events for
-    /// one link; the output is what actually gets forwarded/marked.
-    pub fn select(&self, mut candidates: Vec<Event>) -> Vec<Event> {
-        match *self {
-            RankPolicy::All => candidates,
-            RankPolicy::TopK(k) => {
-                candidates.sort_by(|a, b| b.timestamp.cmp(&a.timestamp).then(b.id.cmp(&a.id)));
-                candidates.truncate(k);
-                candidates
-            }
+    /// one link; what is left is what actually gets forwarded/marked.
+    pub fn select<E: AsRef<Event>>(&self, candidates: &mut Vec<E>) {
+        if let RankPolicy::TopK(k) = *self {
+            let rank = |e: &E| std::cmp::Reverse((e.as_ref().timestamp, e.as_ref().id));
+            candidates.sort_by_key(rank);
+            candidates.truncate(k);
         }
     }
 }
@@ -46,6 +43,11 @@ impl RankPolicy {
 mod tests {
     use super::*;
     use fsf_model::{AttrId, EventId, Point, SensorId, Timestamp};
+
+    fn select(policy: RankPolicy, mut batch: Vec<Event>) -> Vec<Event> {
+        policy.select(&mut batch);
+        batch
+    }
 
     fn ev(id: u64, t: u64) -> Event {
         Event {
@@ -61,29 +63,27 @@ mod tests {
     #[test]
     fn all_policy_keeps_everything_in_order() {
         let batch = vec![ev(1, 10), ev(2, 30), ev(3, 20)];
-        let out = RankPolicy::All.select(batch.clone());
+        let out = select(RankPolicy::All, batch.clone());
         assert_eq!(out, batch);
     }
 
     #[test]
     fn topk_keeps_newest() {
-        let out = RankPolicy::TopK(2).select(vec![ev(1, 10), ev(2, 30), ev(3, 20)]);
+        let out = select(RankPolicy::TopK(2), vec![ev(1, 10), ev(2, 30), ev(3, 20)]);
         assert_eq!(out.iter().map(|e| e.id.0).collect::<Vec<_>>(), vec![2, 3]);
     }
 
     #[test]
     fn topk_breaks_timestamp_ties_by_id() {
-        let out = RankPolicy::TopK(1).select(vec![ev(1, 10), ev(5, 10), ev(3, 10)]);
+        let out = select(RankPolicy::TopK(1), vec![ev(1, 10), ev(5, 10), ev(3, 10)]);
         assert_eq!(out[0].id.0, 5);
     }
 
     #[test]
     fn topk_zero_drops_all_and_oversized_k_keeps_all() {
-        assert!(RankPolicy::TopK(0).select(vec![ev(1, 10)]).is_empty());
+        assert!(select(RankPolicy::TopK(0), vec![ev(1, 10)]).is_empty());
         assert_eq!(
-            RankPolicy::TopK(10)
-                .select(vec![ev(1, 10), ev(2, 20)])
-                .len(),
+            select(RankPolicy::TopK(10), vec![ev(1, 10), ev(2, 20)]).len(),
             2
         );
     }

@@ -12,8 +12,8 @@
 //! with a large *fixed* component — every reading travels to the centre
 //! whether or not anyone wants it — plus the result traffic back out.
 
-use fsf_core::events::{EventStore, SentScope};
-use fsf_model::{complex_match, ComplexEvent, Event, Operator, SubId, Subscription};
+use fsf_core::events::{Correlator, EventStore, SentScope};
+use fsf_model::{ComplexEvent, DimKey, Event, Operator, SubId, Subscription};
 use fsf_network::{ChargeKind, Ctx, NodeBehavior, NodeId, Topology};
 use fsf_subsumption::{MatchMode, OperatorTable};
 use std::collections::BTreeMap;
@@ -204,48 +204,26 @@ impl CentralNode {
         if !self.events.insert(event) {
             return;
         }
-        let candidates: Vec<Operator> = {
-            let sensor_dim = fsf_model::DimKey::Sensor(event.sensor);
-            let attr_dim = fsf_model::DimKey::Attr(event.attr);
-            let mode = self.match_mode;
-            [&sensor_dim, &attr_dim]
-                .iter()
-                .flat_map(|d| self.subs.candidates_for(mode, d, &event))
-                .collect()
-        };
-        // one window probe per distinct δt serves every subscription
-        // sharing that correlation band
-        let mut bands: BTreeMap<u64, Vec<Event>> = BTreeMap::new();
+        self.subs.settle();
+        let mut candidates: Vec<&Operator> = Vec::new();
+        for d in [DimKey::Sensor(event.sensor), DimKey::Attr(event.attr)] {
+            self.subs
+                .candidates(self.match_mode, &d, &event, &mut candidates);
+        }
+        let mut corr = Correlator::new(&self.events, event.timestamp);
         for op in candidates {
-            let dt = op.delta_t();
-            let band: &Vec<Event> = bands.entry(dt).or_insert_with(|| {
-                self.events
-                    .correlation_band(event.timestamp, dt)
-                    .into_iter()
-                    .copied()
-                    .collect()
-            });
-            let band_refs: Vec<&Event> = band.iter().collect();
-            let Some(m) = complex_match(&band_refs, &op) else {
+            let scope = || SentScope::LocalSub(op.sub());
+            let Some(scope) = corr.correlate(op, scope) else {
                 continue;
             };
-            let scope = SentScope::LocalSub(op.sub());
-            let new_events: Vec<Event> = m
-                .participants
-                .iter()
-                .map(|&i| band[i])
-                .filter(|e| !self.events.was_sent(e.id, &scope))
-                .collect();
-            if new_events.is_empty() {
+            if corr.fresh.is_empty() {
                 continue;
             }
-            for e in &new_events {
-                self.events.mark_sent(e.id, SentScope::LocalSub(op.sub()));
-            }
+            let new_events: Vec<Event> = corr.fresh.iter().map(|s| *s.event()).collect();
+            corr.mark_fresh(scope);
             let user = self.owners[&op.sub()];
-            let complex = ComplexEvent::new(new_events.clone());
             if user == self.id {
-                ctx.deliver(op.sub(), &complex);
+                ctx.deliver(op.sub(), &ComplexEvent::new(new_events));
             } else {
                 let units = new_events.len() as u64;
                 let hop = self.hop_toward(user);
@@ -261,6 +239,7 @@ impl CentralNode {
                 );
             }
         }
+        self.events.apply(corr.finish());
     }
 }
 

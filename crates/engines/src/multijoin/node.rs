@@ -2,11 +2,9 @@
 
 use super::ops::{ring_pairs, MjKey, MjWireOp, WireKind};
 use super::store::{MjStore, StoredMj, StoredRole};
-use fsf_core::events::{EventStore, SentScope};
+use fsf_core::events::{Correlator, EventStore, LinkFrame, SentScope};
 use fsf_core::store::{AdvStore, AdvUpdate, Origin};
-use fsf_model::{
-    complex_match, Advertisement, ComplexEvent, DimKey, Event, Operator, Subscription,
-};
+use fsf_model::{Advertisement, DimKey, Event, Operator, Subscription};
 use fsf_network::{ChargeKind, Ctx, NodeBehavior, NodeId};
 use fsf_subsumption::{pairwise, MatchMode};
 use std::collections::{BTreeMap, BTreeSet};
@@ -684,19 +682,26 @@ impl MjNode {
     /// accumulates per link and is flushed as one framed multi-event
     /// message per link per frame, charge units summed over the matches.
     fn handle_event_batch(&mut self, origin: Origin, events: Vec<Event>, ctx: &mut Ctx<'_, MjMsg>) {
+        // settle, then borrow: the stabs below run on shared borrows
+        for store in self.stores.values_mut() {
+            store.settle();
+        }
         let neighbors: Vec<NodeId> = ctx.neighbors().to_vec();
-        let mut frames: BTreeMap<NodeId, MjLinkFrame> = BTreeMap::new();
+        let mut frames: BTreeMap<NodeId, LinkFrame> = BTreeMap::new();
         for event in events {
             if !self.events.insert(event) {
                 continue;
             }
-            self.deliver_locally(&event, ctx);
+            // every pass shares its bands and records `sendTo` marks in it
+            let mut corr = Correlator::new(&self.events, event.timestamp);
+            self.deliver_locally(&event, &mut corr, ctx);
             for &j in &neighbors {
                 if Origin::Neighbor(j) == origin {
                     continue;
                 }
-                self.collect_forward(j, &event, &mut frames);
+                self.collect_forward(j, &event, &mut corr, &mut frames);
             }
+            self.events.apply(corr.finish());
         }
         for (j, frame) in frames {
             if !frame.batch.is_empty() {
@@ -706,158 +711,86 @@ impl MjNode {
         }
     }
 
+    /// The uncovered operators of `origin` whose value filter on the
+    /// event's sensor or attribute-type dimension matches it.
+    fn matching(&self, origin: Origin, event: &Event) -> Vec<(&MjKey, &StoredMj)> {
+        let mut matched = Vec::new();
+        if let Some(store) = self.stores.get(&origin) {
+            for d in [DimKey::Sensor(event.sensor), DimKey::Attr(event.attr)] {
+                store.uncovered_matching(self.match_mode, &d, event, &mut matched);
+            }
+        }
+        matched
+    }
+
     /// Final filtering at the user: whole-subscription window matching, so
     /// binary-join false positives are dropped here and never delivered.
-    fn deliver_locally(&mut self, event: &Event, ctx: &mut Ctx<'_, MjMsg>) {
-        let mode = self.match_mode;
-        let Some(store) = self.stores.get_mut(&Origin::Local) else {
+    fn deliver_locally<'a>(
+        &'a self,
+        event: &Event,
+        corr: &mut Correlator<'a>,
+        ctx: &mut Ctx<'_, MjMsg>,
+    ) {
+        let Some(store) = self.stores.get(&Origin::Local) else {
             return;
         };
-        let sensor_dim = DimKey::Sensor(event.sensor);
-        let attr_dim = DimKey::Attr(event.attr);
-        let mut candidates: Vec<Operator> = Vec::new();
-        for d in [&sensor_dim, &attr_dim] {
-            for s in store.uncovered_matching(mode, d, event) {
-                if s.is_user_sub {
-                    candidates.push(s.op);
-                }
-            }
-        }
+        let mut candidates = self.matching(Origin::Local, event);
         // covered user subscriptions are still served (they ride on their
-        // coverer's streams) — the covered half is only consulted here, so
-        // it stays a scan
-        for s in store.covered() {
-            if s.is_user_sub && s.op.matches_simple(event) {
-                candidates.push(s.op.clone());
-            }
-        }
-        // one window probe per distinct δt serves every operator sharing
-        // that correlation band
-        let mut bands: BTreeMap<u64, Vec<Event>> = BTreeMap::new();
-        for op in candidates {
-            let dt = op.delta_t();
-            let band: &Vec<Event> = bands.entry(dt).or_insert_with(|| {
-                self.events
-                    .correlation_band(event.timestamp, dt)
-                    .into_iter()
-                    .copied()
-                    .collect()
-            });
-            let band_refs: Vec<&Event> = band.iter().collect();
-            let Some(m) = complex_match(&band_refs, &op) else {
-                continue;
-            };
-            let scope = SentScope::LocalSub(op.sub());
-            let new_ids: Vec<_> = m
-                .participants
-                .iter()
-                .map(|&i| band[i].id)
-                .filter(|id| !self.events.was_sent(*id, &scope))
-                .collect();
-            if new_ids.is_empty() {
-                continue;
-            }
-            let complex = ComplexEvent::new(m.participants.iter().map(|&i| band[i]).collect());
-            ctx.deliver(op.sub(), &complex);
-            for id in new_ids {
-                self.events.mark_sent(id, SentScope::LocalSub(op.sub()));
+        // coverer's streams); consulted only here, that half stays a scan
+        candidates.extend(
+            store
+                .covered_entries()
+                .filter(|(_, s)| s.op.matches_simple(event)),
+        );
+        for (_, s) in candidates.into_iter().filter(|(_, s)| s.is_user_sub) {
+            if let Some(complex) = corr.deliver(&s.op) {
+                ctx.deliver(s.op.sub(), &complex);
             }
         }
     }
 
     /// The per-neighbor half of event processing for one event,
-    /// accumulating into the per-link frame flushed by
-    /// [`Self::handle_event_batch`]. Match semantics and `was_sent` dedup
-    /// marks are computed exactly as the unbatched sender did.
-    fn collect_forward(
-        &mut self,
+    /// accumulating into the per-link frame [`Self::handle_event_batch`]
+    /// flushes. Match semantics and `sendTo` marks as the unbatched sender's.
+    fn collect_forward<'a>(
+        &'a self,
         j: NodeId,
         event: &Event,
-        frames: &mut BTreeMap<NodeId, MjLinkFrame>,
+        corr: &mut Correlator<'a>,
+        frames: &mut BTreeMap<NodeId, LinkFrame>,
     ) {
-        let mode = self.match_mode;
-        let Some(store) = self.stores.get_mut(&Origin::Neighbor(j)) else {
-            return;
-        };
-        let sensor_dim = DimKey::Sensor(event.sensor);
-        let attr_dim = DimKey::Attr(event.attr);
-
-        let mut matched: Vec<(StoredRole, Operator)> = Vec::new();
-        for d in [&sensor_dim, &attr_dim] {
-            for s in store.uncovered_matching(mode, d, event) {
-                matched.push((s.role, s.op));
-            }
-        }
+        // Which stored events should flow to j because of this arrival?
+        let matched = self.matching(Origin::Neighbor(j), event);
         if matched.is_empty() {
             return;
         }
-
-        // Which stored events should flow to j because of this arrival?
-        let mut to_send: Vec<Event> = Vec::new();
-        let push = |e: Event, sent: &EventStore, buf: &mut Vec<Event>| {
-            if !sent.was_sent(e.id, &SentScope::Link(j)) && !buf.iter().any(|b| b.id == e.id) {
-                buf.push(e);
-            }
-        };
-        let mut bands: BTreeMap<u64, Vec<Event>> = BTreeMap::new();
-        for (role, op) in matched {
-            match role {
+        let link = SentScope::Link(j);
+        let frame = frames.entry(j).or_default();
+        for (_, s) in matched {
+            match s.role {
                 StoredRole::MultiSplit => {} // inert: binaries act here
                 StoredRole::FilterTransport | StoredRole::MultiAbove => {
                     // pass-through result dissemination: value filters only,
                     // no window re-evaluation (this is what lets binary-join
                     // false positives travel to the user)
-                    push(*event, &self.events, &mut to_send);
-                }
-                StoredRole::BinaryEval { main } => {
-                    let dt = op.delta_t();
-                    let band: &Vec<Event> = bands.entry(dt).or_insert_with(|| {
-                        self.events
-                            .correlation_band(event.timestamp, dt)
-                            .into_iter()
-                            .copied()
-                            .collect()
-                    });
-                    let band_refs: Vec<&Event> = band.iter().collect();
-                    let Some(m) = complex_match(&band_refs, &op) else {
-                        continue;
-                    };
-                    let mains: Vec<Event> = m
-                        .participants
-                        .iter()
-                        .map(|&i| band[i])
-                        .filter(|e| {
-                            op.predicate_for(&main)
-                                .is_some_and(|p| p.matches(e, op.region()))
-                        })
-                        .collect();
-                    for e in mains {
-                        push(e, &self.events, &mut to_send);
+                    if corr.unsent(event.id, &link) {
+                        frame.push(event);
+                        corr.mark(link.clone(), [event.id]);
                     }
                 }
-            }
-        }
-        if to_send.is_empty() {
-            return;
-        }
-        for e in &to_send {
-            self.events.mark_sent(e.id, SentScope::Link(j));
-        }
-        let frame = frames.entry(j).or_default();
-        for e in to_send {
-            if frame.ids.insert(e.id) {
-                frame.batch.push(e);
+                StoredRole::BinaryEval { main } => {
+                    let Some(scope) = corr.correlate(&s.op, || link.clone()) else {
+                        continue;
+                    };
+                    let main = s.op.predicate_for(&main);
+                    corr.fresh
+                        .retain(|f| main.is_some_and(|p| p.matches(f.event(), s.op.region())));
+                    corr.fresh.iter().for_each(|f| frame.push(f.event()));
+                    corr.mark_fresh(scope);
+                }
             }
         }
     }
-}
-
-/// The accumulating per-link outgoing frame of one batched multi-join
-/// matching round (per-link dedup means units equal the batch length).
-#[derive(Debug, Default)]
-struct MjLinkFrame {
-    batch: Vec<Event>,
-    ids: BTreeSet<fsf_model::EventId>,
 }
 
 impl NodeBehavior for MjNode {

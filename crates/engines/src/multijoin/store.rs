@@ -94,48 +94,45 @@ impl MjStore {
         true
     }
 
-    /// Uncovered operators that reference dimension `dim`.
-    pub fn uncovered_with_dim(&self, dim: &DimKey) -> impl Iterator<Item = &StoredMj> {
-        self.dim_index
-            .get(dim)
-            .into_iter()
-            .flatten()
-            .map(|k| &self.uncovered[k])
+    /// Rebuild what the control plane dirtied in the range arrangement —
+    /// O(1) when clean; once per frame, before the data plane borrows.
+    pub fn settle(&mut self) {
+        self.index.settle();
     }
 
-    /// Uncovered operators whose predicate on `dim` matches `event` —
-    /// cloned, in key order. Both modes answer the identical set in the
-    /// identical order: [`MatchMode::LinearScan`] value-checks every
-    /// operator the dimension index returns, [`MatchMode::Arrangement`]
-    /// stabs the range index (`&mut` for the lazy rebuild) and post-filters
-    /// through the same predicate check.
-    pub fn uncovered_matching(
-        &mut self,
+    /// Append to `out` the uncovered operators whose predicate on `dim`
+    /// matches `event` — borrowed, in key order. Both modes answer the
+    /// identical set in the identical order: [`MatchMode::LinearScan`]
+    /// value-checks every operator the dimension index returns,
+    /// [`MatchMode::Arrangement`] stabs the [`settle`](Self::settle)d range
+    /// index and post-filters through the same predicate check.
+    pub fn uncovered_matching<'a>(
+        &'a self,
         mode: MatchMode,
         dim: &DimKey,
         event: &Event,
-    ) -> Vec<StoredMj> {
+        out: &mut Vec<(&'a MjKey, &'a StoredMj)>,
+    ) {
+        let start = out.len();
+        let offer = |key: &'a MjKey| {
+            let s = &self.uncovered[key];
+            if s.op
+                .predicate_for(dim)
+                .is_some_and(|p| p.matches(event, s.op.region()))
+            {
+                out.push((key, s));
+            }
+        };
         match mode {
             MatchMode::LinearScan => self
-                .uncovered_with_dim(dim)
-                .filter(|s| {
-                    s.op.predicate_for(dim)
-                        .is_some_and(|p| p.matches(event, s.op.region()))
-                })
-                .cloned()
-                .collect(),
-            MatchMode::Arrangement => {
-                let keys = self.index.stab(dim, event.value);
-                keys.into_iter()
-                    .filter_map(|k| self.uncovered.get(&k))
-                    .filter(|s| {
-                        s.op.predicate_for(dim)
-                            .is_some_and(|p| p.matches(event, s.op.region()))
-                    })
-                    .cloned()
-                    .collect()
-            }
+                .dim_index
+                .get(dim)
+                .into_iter()
+                .flatten()
+                .for_each(offer),
+            MatchMode::Arrangement => self.index.stab(dim, event.value, offer),
         }
+        out[start..].sort_unstable_by_key(|&(key, _)| key);
     }
 
     /// Does the incrementally-maintained arrangement equal one rebuilt from
@@ -157,12 +154,6 @@ impl MjStore {
     #[must_use]
     pub fn uncovered(&self) -> Vec<&StoredMj> {
         self.uncovered.values().collect()
-    }
-
-    /// All covered operators, in key order.
-    #[must_use]
-    pub fn covered(&self) -> Vec<&StoredMj> {
-        self.covered.values().collect()
     }
 
     /// Covered entries, with their keys (promotion re-checks).
@@ -293,6 +284,27 @@ mod tests {
         }
     }
 
+    /// Subscriptions of the uncovered operators the dimension index finds
+    /// for an in-range reading of `sensor`.
+    fn scan(s: &MjStore, sensor: u32) -> Vec<u64> {
+        let e = Event {
+            id: fsf_model::EventId(1),
+            sensor: SensorId(sensor),
+            attr: fsf_model::AttrId(0),
+            location: fsf_model::Point::new(0.0, 0.0),
+            value: 5.0,
+            timestamp: fsf_model::Timestamp(0),
+        };
+        let mut out = Vec::new();
+        s.uncovered_matching(
+            MatchMode::LinearScan,
+            &DimKey::Sensor(e.sensor),
+            &e,
+            &mut out,
+        );
+        out.iter().map(|(_, m)| m.op.sub().0).collect()
+    }
+
     fn stored(o: &Operator, role: StoredRole) -> StoredMj {
         StoredMj {
             op: o.clone(),
@@ -321,11 +333,7 @@ mod tests {
         s.insert_uncovered(key(&o1, None), stored(&o1, StoredRole::MultiAbove));
         s.insert_uncovered(key(&o2, None), stored(&o2, StoredRole::MultiAbove));
         s.insert_covered(key(&o3, None), stored(&o3, StoredRole::FilterTransport));
-        let hits: Vec<u64> = s
-            .uncovered_with_dim(&DimKey::Sensor(SensorId(2)))
-            .map(|m| m.op.sub().0)
-            .collect();
-        assert_eq!(hits, vec![1, 2], "covered ops are not matched");
+        assert_eq!(scan(&s, 2), vec![1, 2], "covered ops are not matched");
     }
 
     #[test]
@@ -364,11 +372,7 @@ mod tests {
         assert!(s.remove_sub(SubId(1)));
         assert!(!s.remove_sub(SubId(1)), "second removal is a no-op");
         assert_eq!(s.len(), 1, "only sub 2's covered entry remains");
-        assert_eq!(
-            s.uncovered_with_dim(&DimKey::Sensor(SensorId(1))).count(),
-            0,
-            "dim index cleaned"
-        );
+        assert!(scan(&s, 1).is_empty(), "dim index cleaned");
         assert!(s.remove_sub(SubId(2)));
         assert!(s.is_empty());
     }

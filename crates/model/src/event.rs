@@ -33,6 +33,12 @@ pub struct Event {
     pub timestamp: Timestamp,
 }
 
+impl AsRef<Event> for Event {
+    fn as_ref(&self) -> &Event {
+        self
+    }
+}
+
 /// A complex correlated event `E = {e_1, …, e_n}` (paper §IV-A).
 ///
 /// Constructed by the matching machinery; the constituent events are kept

@@ -45,7 +45,7 @@ pub use event::{ComplexEvent, Event, EventId};
 pub use filter::{DimKey, Predicate};
 pub use ids::{AttrId, SensorId, SubId};
 pub use location::{Point, Rect, Region};
-pub use matching::{complex_match, MatchOutcome};
+pub use matching::{complex_match, MatchOutcome, Matcher};
 pub use operator::{DimSignature, Operator, OperatorKey};
 pub use subscription::{Subscription, SubscriptionKind};
 pub use time::Timestamp;

@@ -15,7 +15,6 @@
 //! pairwise location constraint. [`complex_match`] exploits this.
 
 use crate::{Event, Operator};
-use std::collections::BTreeMap;
 
 /// The outcome of matching a set of candidate events against an operator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,91 +33,123 @@ pub struct MatchOutcome {
 /// present, the spatial correlation distance (`δl`) are enforced here. This
 /// makes the function usable both inside Algorithm 5's sliding-window loop
 /// (where the caller passes a pre-windowed slice) and as a ground-truth
-/// oracle over a whole event log.
+/// oracle over a whole event log. The slice may hold events, references to
+/// them, or anything that lends one (a node's stored event-store entries),
+/// so the hot path matches over its borrowed band without copying it.
 #[must_use]
-pub fn complex_match(events: &[&Event], op: &Operator) -> Option<MatchOutcome> {
-    let dims: Vec<_> = op.dims().collect();
-    if dims.is_empty() {
-        return None;
-    }
-
-    // Candidate lists per dimension. An event can only ever belong to one
-    // dimension (a sensor has one attribute; dims are unique), so each event
-    // appears at most once.
-    let mut dim_index: BTreeMap<_, usize> = BTreeMap::new();
-    for (i, d) in dims.iter().enumerate() {
-        dim_index.insert(*d, i);
-    }
-    // (timestamp, input-index, dim-slot), sorted by time for windowing.
-    let mut cands: Vec<(u64, usize, usize)> = Vec::new();
-    let mut per_dim_counts = vec![0usize; dims.len()];
-    for (i, e) in events.iter().enumerate() {
-        for p in op.predicates() {
-            if p.matches(e, op.region()) {
-                let slot = dim_index[&p.key];
-                cands.push((e.timestamp.0, i, slot));
-                per_dim_counts[slot] += 1;
-                break; // unique dims => at most one predicate matches
-            }
-        }
-    }
-    if per_dim_counts.contains(&0) {
-        return None;
-    }
-    cands.sort_unstable();
-
-    match op.delta_l() {
-        None => match_time_only(&cands, dims.len(), op.delta_t()),
-        Some(dl) => match_time_and_space(events, &cands, dims.len(), op.delta_t(), dl),
-    }
+pub fn complex_match<E: AsRef<Event>>(events: &[E], op: &Operator) -> Option<MatchOutcome> {
+    let mut matcher = Matcher::default();
+    matcher.run(events, op)?;
+    Some(MatchOutcome {
+        participants: matcher.participants,
+    })
 }
 
-/// δl = ∞ fast path: slide a window of span `< δt` over the time-sorted
-/// candidates; whenever the window covers all dimensions, every event inside
-/// participates (any per-dimension choice from the window is a valid complex
-/// event). Marked windows are collected as index ranges and merged, keeping
-/// the whole procedure `O(n log n)`.
-fn match_time_only(
-    cands: &[(u64, usize, usize)],
-    ndims: usize,
-    delta_t: u64,
-) -> Option<MatchOutcome> {
-    let mut counts = vec![0usize; ndims];
-    let mut covered = 0usize;
-    let mut lo = 0usize;
-    let mut ranges: Vec<(usize, usize)> = Vec::new(); // inclusive candidate-index ranges
-    for hi in 0..cands.len() {
-        let slot = cands[hi].2;
-        if counts[slot] == 0 {
-            covered += 1;
+/// The working memory of [`complex_match`], reusable: a caller matching
+/// operator after operator ([`Matcher::run`]) allocates only while these
+/// buffers grow.
+#[derive(Debug, Default)]
+pub struct Matcher {
+    /// (timestamp, input-index, dim-slot), sorted by time for windowing.
+    cands: Vec<(u64, usize, usize)>,
+    /// Candidates per dimension slot.
+    counts: Vec<usize>,
+    /// Inclusive candidate-index ranges of the fully covered windows.
+    ranges: Vec<(usize, usize)>,
+    participants: Vec<usize>,
+}
+
+impl Matcher {
+    /// [`complex_match`] into this matcher's buffers: the participants'
+    /// indices into `events`, sorted ascending and deduplicated.
+    pub fn run<E: AsRef<Event>>(&mut self, events: &[E], op: &Operator) -> Option<&[usize]> {
+        // Predicates are sorted by unique dimension, so a predicate's
+        // position is its dimension slot.
+        let preds = op.predicates();
+        if preds.is_empty() {
+            return None;
         }
-        counts[slot] += 1;
-        // strict: |t_max - t_i| < δt  ⇒  keep t_hi - t_lo <= δt - 1
-        while cands[hi].0 - cands[lo].0 >= delta_t {
-            let s = cands[lo].2;
-            counts[s] -= 1;
-            if counts[s] == 0 {
-                covered -= 1;
+
+        // An event can only ever belong to one dimension (a sensor has one
+        // attribute; dims are unique), so each event appears at most once.
+        self.cands.clear();
+        self.cands.reserve(events.len());
+        self.counts.clear();
+        self.counts.resize(preds.len(), 0);
+        for (i, e) in events.iter().enumerate() {
+            let e = e.as_ref();
+            if let Some(slot) = preds.iter().position(|p| p.matches(e, op.region())) {
+                self.cands.push((e.timestamp.0, i, slot));
+                self.counts[slot] += 1;
             }
-            lo += 1;
         }
-        if covered == ndims {
-            match ranges.last_mut() {
-                Some((_, e)) if lo <= *e + 1 => *e = hi,
-                _ => ranges.push((lo, hi)),
+        if self.counts.contains(&0) {
+            return None;
+        }
+        self.cands.sort_unstable();
+
+        self.participants.clear();
+        match op.delta_l() {
+            None => self.match_time_only(op.delta_t()),
+            Some(dl) => match_time_and_space(
+                events,
+                &self.cands,
+                preds.len(),
+                op.delta_t(),
+                dl,
+                &mut self.participants,
+            ),
+        }
+        if self.participants.is_empty() {
+            return None;
+        }
+        self.participants.sort_unstable();
+        self.participants.dedup();
+        Some(&self.participants)
+    }
+
+    /// δl = ∞ fast path: slide a window of span `< δt` over the time-sorted
+    /// candidates; whenever the window covers all dimensions, every event
+    /// inside participates (any per-dimension choice from the window is a
+    /// valid complex event). Marked windows are collected as index ranges
+    /// and merged, keeping the whole procedure `O(n log n)`.
+    fn match_time_only(&mut self, delta_t: u64) {
+        let Matcher {
+            cands,
+            counts,
+            ranges,
+            participants,
+        } = self;
+        counts.fill(0);
+        ranges.clear();
+        let mut covered = 0usize;
+        let mut lo = 0usize;
+        for hi in 0..cands.len() {
+            let slot = cands[hi].2;
+            if counts[slot] == 0 {
+                covered += 1;
+            }
+            counts[slot] += 1;
+            // strict: |t_max - t_i| < δt  ⇒  keep t_hi - t_lo <= δt - 1
+            while cands[hi].0 - cands[lo].0 >= delta_t {
+                let s = cands[lo].2;
+                counts[s] -= 1;
+                if counts[s] == 0 {
+                    covered -= 1;
+                }
+                lo += 1;
+            }
+            if covered == counts.len() {
+                match ranges.last_mut() {
+                    Some((_, e)) if lo <= *e + 1 => *e = hi,
+                    _ => ranges.push((lo, hi)),
+                }
             }
         }
+        for &(s, e) in ranges.iter() {
+            participants.extend(cands[s..=e].iter().map(|c| c.1));
+        }
     }
-    if ranges.is_empty() {
-        return None;
-    }
-    let mut participants: Vec<usize> = Vec::new();
-    for (s, e) in ranges {
-        participants.extend(cands[s..=e].iter().map(|c| c.1));
-    }
-    participants.sort_unstable();
-    participants.dedup();
-    Some(MatchOutcome { participants })
 }
 
 /// Finite-δl path: for each candidate event, decide by backtracking whether
@@ -126,13 +157,14 @@ fn match_time_only(
 /// constraints). Exponential in the worst case but bounded by
 /// `MAX_BACKTRACK_STEPS`; δl-constrained subscriptions are rare and their
 /// per-window candidate sets small.
-fn match_time_and_space(
-    events: &[&Event],
+fn match_time_and_space<E: AsRef<Event>>(
+    events: &[E],
     cands: &[(u64, usize, usize)],
     ndims: usize,
     delta_t: u64,
     delta_l: f64,
-) -> Option<MatchOutcome> {
+    participants: &mut Vec<usize>,
+) {
     const MAX_BACKTRACK_STEPS: usize = 1 << 20;
 
     let mut per_dim: Vec<Vec<usize>> = vec![Vec::new(); ndims]; // input indices
@@ -141,14 +173,13 @@ fn match_time_and_space(
     }
 
     let compatible = |a: usize, b: usize| -> bool {
-        let (ea, eb) = (events[a], events[b]);
+        let (ea, eb) = (events[a].as_ref(), events[b].as_ref());
         ea.timestamp.abs_diff(eb.timestamp) < delta_t
             && ea.location.distance(&eb.location) < delta_l
     };
 
     #[allow(clippy::too_many_arguments)] // recursive backtracking state
     fn search(
-        events: &[&Event],
         per_dim: &[Vec<usize>],
         chosen: &mut Vec<usize>,
         slot: usize,
@@ -158,7 +189,6 @@ fn match_time_and_space(
         budget: usize,
         compatible: &dyn Fn(usize, usize) -> bool,
     ) -> bool {
-        let _ = events;
         if *steps >= budget {
             return false;
         }
@@ -175,7 +205,6 @@ fn match_time_and_space(
             if chosen.iter().all(|&c| compatible(c, cand)) {
                 chosen.push(cand);
                 if search(
-                    events,
                     per_dim,
                     chosen,
                     slot + 1,
@@ -194,13 +223,11 @@ fn match_time_and_space(
         false
     }
 
-    let mut participants = Vec::new();
     let mut steps = 0usize;
     for (slot, members) in per_dim.iter().enumerate() {
         for &idx in members {
             let mut chosen = Vec::with_capacity(ndims);
             if search(
-                events,
                 &per_dim,
                 &mut chosen,
                 0,
@@ -214,12 +241,6 @@ fn match_time_and_space(
             }
         }
     }
-    if participants.is_empty() {
-        return None;
-    }
-    participants.sort_unstable();
-    participants.dedup();
-    Some(MatchOutcome { participants })
 }
 
 #[cfg(test)]

@@ -6,26 +6,47 @@
 //! for local users (`S_local`), split into covered/uncovered halves by the
 //! node framework.
 //!
-//! Beyond the signature groups, the table maintains a per-dimension inverted
-//! index so that event processing (Algorithm 5) only touches operators that
-//! reference the incoming event's sensor or attribute type, and a shared
-//! [`RangeIndex`] arrangement over the operators' value ranges so that the
-//! per-reading candidate query costs O(log ops + matches) in
-//! [`MatchMode::Arrangement`] instead of a linear scan.
+//! Operators are interned in a slab: each lives once, in a `u32` slot that
+//! is recycled through a free list, and every secondary structure — the
+//! signature groups, the per-dimension inverted index that event processing
+//! (Algorithm 5) uses to touch only operators referencing the incoming
+//! event's sensor or attribute type, and the shared [`RangeIndex`]
+//! arrangement over the operators' value ranges — stores slots, not keys.
+//! The per-reading candidate query therefore costs O(log ops + matches) in
+//! [`MatchMode::Arrangement`] and hands out `&Operator` borrows straight
+//! from the slab: no key is cloned, compared or looked up on the way.
+//!
+//! The data plane follows the arrangement's settle-then-borrow rule:
+//! [`OperatorTable::settle`] once per frame (`&mut`, O(1) when no operator
+//! came or went), then any number of [`OperatorTable::candidates`] queries
+//! through `&self`.
 
 use crate::arrangement::{MatchMode, RangeIndex};
 use fsf_model::{DimKey, DimSignature, Event, Operator, OperatorKey};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Operators grouped by dimension signature, deduplicated by
 /// [`OperatorKey`] (`(subscription, dims)` identity), with a per-dimension
 /// inverted index and a shared range arrangement.
 #[derive(Debug, Default, Clone)]
 pub struct OperatorTable {
-    by_key: BTreeMap<OperatorKey, Operator>,
-    by_sig: BTreeMap<DimSignature, Vec<OperatorKey>>,
-    by_dim: BTreeMap<DimKey, BTreeSet<OperatorKey>>,
-    index: RangeIndex<OperatorKey>,
+    slab: Vec<Option<Operator>>,
+    free: Vec<u32>,
+    by_key: BTreeMap<OperatorKey, u32>,
+    by_sig: BTreeMap<DimSignature, Vec<u32>>,
+    by_dim: BTreeMap<DimKey, Vec<u32>>,
+    index: RangeIndex<u32>,
+}
+
+/// Drop `slot` from one secondary index entry, and the entry with its last
+/// slot.
+fn unlink<K: Ord>(map: &mut BTreeMap<K, Vec<u32>>, key: &K, slot: u32) {
+    if let Some(slots) = map.get_mut(key) {
+        slots.retain(|&s| s != slot);
+        if slots.is_empty() {
+            map.remove(key);
+        }
+    }
 }
 
 impl OperatorTable {
@@ -33,6 +54,12 @@ impl OperatorTable {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    fn op(&self, slot: u32) -> &Operator {
+        self.slab[slot as usize]
+            .as_ref()
+            .expect("indexed slots are occupied")
     }
 
     /// Insert an operator. Returns `false` (and stores nothing) if an
@@ -43,18 +70,17 @@ impl OperatorTable {
         if self.by_key.contains_key(&key) {
             return false;
         }
-        self.by_sig
-            .entry(op.signature())
-            .or_default()
-            .push(key.clone());
-        for d in op.dims() {
-            self.by_dim.entry(d).or_default().insert(key.clone());
-            if let Some(p) = op.predicate_for(&d) {
-                self.index
-                    .insert(d, p.range.min(), p.range.max(), key.clone());
-            }
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(None);
+            u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 operators")
+        });
+        for p in op.predicates() {
+            self.by_dim.entry(p.key).or_default().push(slot);
+            self.index.insert(p.key, p.range.min(), p.range.max(), slot);
         }
-        self.by_key.insert(key, op);
+        self.by_sig.entry(key.dims.clone()).or_default().push(slot);
+        self.by_key.insert(key, slot);
+        self.slab[slot as usize] = Some(op);
         true
     }
 
@@ -63,99 +89,114 @@ impl OperatorTable {
     pub fn group(&self, sig: &DimSignature) -> Vec<&Operator> {
         self.by_sig
             .get(sig)
-            .map(|keys| keys.iter().map(|k| &self.by_key[k]).collect())
+            .map(|slots| slots.iter().map(|&s| self.op(s)).collect())
             .unwrap_or_default()
     }
 
     /// Operators that constrain dimension `dim` — the candidates that an
-    /// event of that sensor/attribute could extend.
+    /// event of that sensor/attribute could extend — in insertion order.
     pub fn ops_with_dim(&self, dim: &DimKey) -> impl Iterator<Item = &Operator> {
         self.by_dim
             .get(dim)
             .into_iter()
-            .flat_map(|keys| keys.iter().map(|k| &self.by_key[k]))
+            .flat_map(|slots| slots.iter().map(|&s| self.op(s)))
     }
 
     /// Look up an operator by identity.
     #[must_use]
     pub fn get(&self, key: &OperatorKey) -> Option<&Operator> {
-        self.by_key.get(key)
+        self.by_key.get(key).map(|&s| self.op(s))
     }
 
     /// Remove an operator by identity, returning it if present. Supports
     /// explicit unsubscription ("subscriptions are expected to be valid
-    /// until explicitly removed", §IV-B).
+    /// until explicitly removed", §IV-B). The slot goes on the free list
+    /// for the next insert.
     pub fn remove(&mut self, key: &OperatorKey) -> Option<Operator> {
-        let op = self.by_key.remove(key)?;
-        if let Some(keys) = self.by_sig.get_mut(&op.signature()) {
-            keys.retain(|k| k != key);
-            if keys.is_empty() {
-                self.by_sig.remove(&op.signature());
-            }
-        }
+        let slot = self.by_key.remove(key)?;
+        let op = self.slab[slot as usize]
+            .take()
+            .expect("indexed slots are occupied");
+        unlink(&mut self.by_sig, &key.dims, slot);
         for d in op.dims() {
-            if let Some(set) = self.by_dim.get_mut(&d) {
-                set.remove(key);
-                if set.is_empty() {
-                    self.by_dim.remove(&d);
-                }
-            }
-            self.index.remove(&d, key);
+            unlink(&mut self.by_dim, &d, slot);
+            self.index.remove(&d, &slot);
         }
+        self.free.push(slot);
         Some(op)
     }
 
-    /// Candidate operators for `event` under `dim` — those whose predicate
-    /// on `dim` matches the event — cloned, in key order.
+    /// Rebuild what the control plane dirtied in the range arrangement.
+    /// O(1) when no operator was inserted or removed since the last call;
+    /// the data plane calls it once per frame, before it starts borrowing.
+    pub fn settle(&mut self) {
+        self.index.settle();
+    }
+
+    /// Append to `out` the candidate operators for `event` under `dim` —
+    /// those whose predicate on `dim` matches the event — borrowed from the
+    /// slab, in key order.
     ///
     /// Both modes answer the identical set in the identical order (the
     /// differential battery in `tests/matching_equivalence.rs` holds them to
     /// that): [`MatchMode::LinearScan`] walks the inverted index and
     /// value-checks every operator; [`MatchMode::Arrangement`] stabs the
-    /// range index (`&mut` because the first stab after a control-plane
-    /// mutation rebuilds lazily) and post-filters the survivors through the
-    /// same [`fsf_model::Predicate::matches`] check, so region and
-    /// sensor/attribute constraints are enforced identically.
+    /// range index and post-filters the hits through the same
+    /// [`fsf_model::Predicate::matches`] check, so region and
+    /// sensor/attribute constraints are enforced identically. Only the
+    /// survivors are sorted, by `(subscription, dims)`.
+    ///
+    /// # Panics
+    /// In [`MatchMode::Arrangement`], if an insert or remove has not been
+    /// [`settle`](Self::settle)d.
+    pub fn candidates<'a>(
+        &'a self,
+        mode: MatchMode,
+        dim: &DimKey,
+        event: &Event,
+        out: &mut Vec<&'a Operator>,
+    ) {
+        let start = out.len();
+        let offer = |&slot: &u32| {
+            let op = self.op(slot);
+            if op
+                .predicate_for(dim)
+                .is_some_and(|p| p.matches(event, op.region()))
+            {
+                out.push(op);
+            }
+        };
+        match mode {
+            MatchMode::LinearScan => self.by_dim.get(dim).into_iter().flatten().for_each(offer),
+            MatchMode::Arrangement => self.index.stab(dim, event.value, offer),
+        }
+        out[start..]
+            .sort_unstable_by(|a, b| a.sub().cmp(&b.sub()).then_with(|| a.dims().cmp(b.dims())));
+    }
+
+    /// [`Self::candidates`], settled first and cloned out: the owned form
+    /// for callers that query once and keep the result.
     pub fn candidates_for(
         &mut self,
         mode: MatchMode,
         dim: &DimKey,
         event: &Event,
     ) -> Vec<Operator> {
-        match mode {
-            MatchMode::LinearScan => self
-                .ops_with_dim(dim)
-                .filter(|op| {
-                    op.predicate_for(dim)
-                        .is_some_and(|p| p.matches(event, op.region()))
-                })
-                .cloned()
-                .collect(),
-            MatchMode::Arrangement => {
-                let keys = self.index.stab(dim, event.value);
-                keys.into_iter()
-                    .filter_map(|k| self.by_key.get(&k))
-                    .filter(|op| {
-                        op.predicate_for(dim)
-                            .is_some_and(|p| p.matches(event, op.region()))
-                    })
-                    .cloned()
-                    .collect()
-            }
-        }
+        self.settle();
+        let mut out = Vec::new();
+        self.candidates(mode, dim, event, &mut out);
+        out.into_iter().cloned().collect()
     }
 
     /// Does the incrementally-maintained arrangement equal one rebuilt from
     /// scratch over the stored operators? Used by the rebuild property tests
-    /// (retraction, mobility supersession, crash purge).
+    /// (retraction, mobility supersession, crash purge, slot reuse).
     #[must_use]
     pub fn arrangement_consistent(&self) -> bool {
-        let mut fresh: RangeIndex<OperatorKey> = RangeIndex::new();
-        for (key, op) in &self.by_key {
-            for d in op.dims() {
-                if let Some(p) = op.predicate_for(&d) {
-                    fresh.insert(d, p.range.min(), p.range.max(), key.clone());
-                }
+        let mut fresh: RangeIndex<u32> = RangeIndex::new();
+        for &slot in self.by_key.values() {
+            for p in self.op(slot).predicates() {
+                fresh.insert(p.key, p.range.min(), p.range.max(), slot);
             }
         }
         self.index.same_entries(&fresh)
@@ -180,7 +221,7 @@ impl OperatorTable {
 
     /// All stored operators in key order — deterministic.
     pub fn iter(&self) -> impl Iterator<Item = &Operator> {
-        self.by_key.values()
+        self.by_key.values().map(|&s| self.op(s))
     }
 
     /// Number of stored operators.

@@ -6,13 +6,16 @@
 //!
 //! * table level — random operator sets stabbed directly through
 //!   [`fsf::subsumption::OperatorTable::candidates_for`] in both modes must
-//!   return the *same operators in the same order*;
+//!   return the *same operators in the same order*, also after operators
+//!   were removed and others took over their slab slots; the multi-join
+//!   engine's `MjStore` is held to the same rows;
 //! * engine level — ≥ 30 seeded cases of random operator sets (overlapping,
 //!   nested, point and zero-width ranges) × reading streams, replayed on
 //!   all five engines twice: the event-at-a-time linear-scan oracle vs the
 //!   batched arrangement path, asserting per-subscription match-set and
 //!   full [`DeliveryLog`] equality.
 
+use fsf::engines::multijoin::{MjKey, MjStore, StoredMj, StoredRole};
 use fsf::model::DimKey;
 use fsf::network::builders;
 use fsf::prelude::*;
@@ -91,36 +94,123 @@ fn gen_stream(rng: &mut StdRng, n: usize, sensors: u32) -> Vec<Event> {
         .collect()
 }
 
+/// One table-level case: 24 operators to load, 12 latecomers, and every
+/// dimension any of them constrains.
+fn gen_table_case(rng: &mut StdRng) -> (Vec<Operator>, Vec<Operator>, Vec<DimKey>) {
+    let subs = gen_subscriptions(rng, 36, 3);
+    let mut ops: Vec<Operator> = subs.iter().map(Operator::from_subscription).collect();
+    let mut dims: Vec<DimKey> = Vec::new();
+    for d in ops.iter().flat_map(Operator::dims) {
+        if !dims.contains(&d) {
+            dims.push(d);
+        }
+    }
+    let late = ops.split_off(24);
+    (ops, late, dims)
+}
+
+/// The rows every table-level case is probed in: freshly loaded; a third of
+/// the operators removed; the latecomers — first, so they and not the
+/// returning operators take the freed slots — and half of the removed ones
+/// inserted again.
+const ROWS: [&str; 3] = ["loaded", "after removals", "after reinsertion"];
+
 /// Table level: both candidate-query modes agree operator-for-operator —
-/// including order — on every stab, across random operator sets and probes.
+/// including order — on every stab, across random operator sets and probes,
+/// in every row.
 #[test]
 fn table_candidates_agree_across_modes_on_random_sets() {
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x7AB1E ^ (case * 0x9E37_79B9));
         let mut table = OperatorTable::new();
-        let subs = gen_subscriptions(&mut rng, 24, 3);
-        let mut dims: Vec<DimKey> = Vec::new();
-        for sub in &subs {
-            let op = Operator::from_subscription(sub);
-            for d in op.dims() {
-                if !dims.contains(&d) {
-                    dims.push(d);
+        let (loaded, late, dims) = gen_table_case(&mut rng);
+        for op in &loaded {
+            table.insert(op.clone());
+        }
+        for row in ROWS {
+            match row {
+                "after removals" => {
+                    for op in loaded.iter().step_by(3) {
+                        assert!(table.remove(&op.key()).is_some());
+                    }
+                }
+                "after reinsertion" => {
+                    for op in late.iter().chain(loaded.iter().step_by(6)) {
+                        assert!(table.insert(op.clone()));
+                    }
+                }
+                _ => {}
+            }
+            assert!(table.arrangement_consistent(), "case {case}: stale index");
+            for event in gen_stream(&mut rng, 40, 3) {
+                for dim in &dims {
+                    let scan = table.candidates_for(MatchMode::LinearScan, dim, &event);
+                    let arr = table.candidates_for(MatchMode::Arrangement, dim, &event);
+                    let scan_keys: Vec<_> = scan.iter().map(Operator::key).collect();
+                    let arr_keys: Vec<_> = arr.iter().map(Operator::key).collect();
+                    assert_eq!(
+                        scan_keys, arr_keys,
+                        "case {case}: candidate sets (or order) diverged on {dim:?} at {}",
+                        event.value
+                    );
                 }
             }
-            table.insert(op);
         }
-        assert!(table.arrangement_consistent(), "case {case}: stale index");
-        for event in gen_stream(&mut rng, 40, 3) {
-            for dim in &dims {
-                let scan = table.candidates_for(MatchMode::LinearScan, dim, &event);
-                let arr = table.candidates_for(MatchMode::Arrangement, dim, &event);
-                let scan_keys: Vec<_> = scan.iter().map(Operator::key).collect();
-                let arr_keys: Vec<_> = arr.iter().map(Operator::key).collect();
-                assert_eq!(
-                    scan_keys, arr_keys,
-                    "case {case}: candidate sets (or order) diverged on {dim:?} at {}",
-                    event.value
-                );
+    }
+}
+
+/// The same rows for the multi-join engine's per-origin store.
+#[test]
+fn mj_store_candidates_agree_across_modes_on_random_sets() {
+    let key = |op: &Operator| MjKey {
+        sub: op.sub(),
+        dims: op.signature(),
+        main: None,
+    };
+    let stored = |op: &Operator| StoredMj {
+        op: op.clone(),
+        role: StoredRole::FilterTransport,
+        is_user_sub: false,
+    };
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(0x7AB1E ^ (case * 0x9E37_79B9));
+        let mut store = MjStore::new();
+        let (loaded, late, dims) = gen_table_case(&mut rng);
+        for op in &loaded {
+            store.insert_uncovered(key(op), stored(op));
+        }
+        for row in ROWS {
+            match row {
+                "after removals" => {
+                    for op in loaded.iter().step_by(3) {
+                        assert!(store.remove_uncovered(&key(op)).is_some());
+                    }
+                }
+                "after reinsertion" => {
+                    for op in late.iter().chain(loaded.iter().step_by(6)) {
+                        assert!(store.insert_uncovered(key(op), stored(op)));
+                    }
+                }
+                _ => {}
+            }
+            assert!(
+                store.arrangement_consistent(),
+                "case {case} {row}: stale index"
+            );
+            store.settle();
+            for event in gen_stream(&mut rng, 40, 3) {
+                for dim in &dims {
+                    let (mut scan, mut arr) = (Vec::new(), Vec::new());
+                    store.uncovered_matching(MatchMode::LinearScan, dim, &event, &mut scan);
+                    store.uncovered_matching(MatchMode::Arrangement, dim, &event, &mut arr);
+                    let scan_keys: Vec<_> = scan.iter().map(|(k, _)| *k).collect();
+                    let arr_keys: Vec<_> = arr.iter().map(|(k, _)| *k).collect();
+                    assert_eq!(
+                        scan_keys, arr_keys,
+                        "case {case} {row}: candidate sets (or order) diverged on {dim:?} at {}",
+                        event.value
+                    );
+                }
             }
         }
     }

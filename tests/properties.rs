@@ -486,6 +486,133 @@ fn event_store_expiry_keeps_only_the_validity_horizon() {
     });
 }
 
+/// The event store against a naive `Vec` model, operation by operation:
+/// inserts (fresh, duplicate, stale), validity expiry, `remove_sensor`,
+/// `mark_sent` / `was_sent`, and the correlation band's contents *and
+/// order* (timestamp, then insertion).
+#[test]
+fn event_store_matches_a_naive_vec_model() {
+    use fsf::core::events::{EventStore, SentScope};
+
+    struct Model {
+        /// (event, scopes it was marked under), in insertion order.
+        entries: Vec<(Event, Vec<SentScope>)>,
+        validity: u64,
+        max_seen: u64,
+    }
+    impl Model {
+        fn insert(&mut self, e: Event) -> bool {
+            if e.timestamp.0 + self.validity <= self.max_seen
+                || self.entries.iter().any(|(x, _)| x.id == e.id)
+            {
+                return false;
+            }
+            self.max_seen = self.max_seen.max(e.timestamp.0);
+            self.entries.push((e, Vec::new()));
+            let cutoff = self.max_seen.saturating_sub(self.validity);
+            self.entries.retain(|(x, _)| x.timestamp.0 >= cutoff);
+            true
+        }
+        fn band(&self, t: u64, delta_t: u64) -> Vec<EventId> {
+            let reach = delta_t.saturating_sub(1);
+            let mut hits: Vec<&Event> = self
+                .entries
+                .iter()
+                .map(|(e, _)| e)
+                .filter(|e| e.timestamp.0 >= t.saturating_sub(reach) && e.timestamp.0 <= t + reach)
+                .collect();
+            hits.sort_by_key(|e| e.timestamp); // stable: insertion order within a timestamp
+            hits.iter().map(|e| e.id).collect()
+        }
+    }
+
+    cases(14, 48, |rng| {
+        let validity = rng.gen_range(20u64..120);
+        let mut store = EventStore::new(validity);
+        let mut model = Model {
+            entries: Vec::new(),
+            validity,
+            max_seen: 0,
+        };
+        let scopes = [
+            SentScope::Link(NodeId(1)),
+            SentScope::Link(NodeId(2)),
+            SentScope::LocalSub(SubId(7)),
+        ];
+        let mut clock = 1_000u64;
+        for step in 0..400u64 {
+            match rng.gen_range(0..10) {
+                0..=5 => {
+                    // mostly forward in time, ids descending within a burst
+                    // and sometimes reused, so neither order nor freshness
+                    // comes for free
+                    clock += rng.gen_range(0u64..4);
+                    let back = rng.gen_range(0u64..(2 * validity));
+                    let e = Event {
+                        id: EventId(if rng.gen_bool(0.1) {
+                            rng.gen_range(0..step + 1)
+                        } else {
+                            10_000 - step
+                        }),
+                        sensor: SensorId(rng.gen_range(0..5)),
+                        attr: AttrId(0),
+                        location: Point::new(0.0, 0.0),
+                        value: 0.0,
+                        timestamp: Timestamp(if rng.gen_bool(0.2) {
+                            clock.saturating_sub(back)
+                        } else {
+                            clock
+                        }),
+                    };
+                    assert_eq!(store.insert(e), model.insert(e), "insert {e:?}");
+                }
+                6 => {
+                    let sensor = SensorId(rng.gen_range(0..5));
+                    let before = model.entries.len();
+                    model.entries.retain(|(e, _)| e.sensor != sensor);
+                    assert_eq!(store.remove_sensor(sensor), before - model.entries.len());
+                }
+                7 | 8 => {
+                    if !model.entries.is_empty() {
+                        let at = rng.gen_range(0..model.entries.len());
+                        let scope = scopes[rng.gen_range(0..scopes.len())].clone();
+                        let (e, sent) = &mut model.entries[at];
+                        store.mark_sent(e.id, scope.clone());
+                        if !sent.contains(&scope) {
+                            sent.push(scope);
+                        }
+                    }
+                    // an unknown id is ignored
+                    store.mark_sent(EventId(u64::MAX), scopes[0].clone());
+                }
+                _ => {
+                    let t = clock.saturating_sub(rng.gen_range(0u64..validity));
+                    let delta_t = rng.gen_range(1u64..validity);
+                    let got: Vec<EventId> = store
+                        .correlation_band(Timestamp(t), delta_t)
+                        .iter()
+                        .map(|s| s.event().id)
+                        .collect();
+                    assert_eq!(got, model.band(t, delta_t), "band at {t} ± {delta_t}");
+                }
+            }
+            assert_eq!(store.len(), model.entries.len());
+            for (e, sent) in &model.entries {
+                assert_eq!(store.get(e.id), Some(e));
+                for scope in &scopes {
+                    assert_eq!(store.was_sent(e.id, scope), sent.contains(scope));
+                }
+            }
+        }
+        let all: Vec<EventId> = store
+            .window(Timestamp(0), Timestamp(u64::MAX))
+            .iter()
+            .map(|e| e.id)
+            .collect();
+        assert_eq!(all, model.band(0, u64::MAX));
+    });
+}
+
 // ---------- churn interleavings ----------
 
 /// A small random deployment driven through the `Engine` facade: `n`-node

@@ -27,7 +27,8 @@
 //! * [`events`] — the timestamp-indexed event store `U` with validity-based
 //!   expiry and `sendTo` flags (per link, per operator-stream, or per local
 //!   subscription), and the [`events::Correlator`] every engine matches
-//!   through (band → match → dedup → mark, over bands borrowed from it);
+//!   through (pass → envelope → reduced band → match → dedup → mark, over
+//!   bands borrowed from it);
 //! * [`node`] — [`PubSubNode`]: Algorithms 1 (advertisement propagation),
 //!   2–4 (filter / split / forward), 5 (event propagation and complex-event
 //!   delivery);

@@ -16,7 +16,7 @@
 //!   per link (Filter-Split-Forward) or per operator stream (the baselines'
 //!   "per subscription" result sets).
 
-use crate::events::{Correlator, EventStore, LinkFrame, SentScope};
+use crate::events::{recycle, Correlator, EventStore, LinkFrame, SentScope};
 use crate::ranking::RankPolicy;
 use crate::store::{AdvStore, AdvUpdate, Origin, SubStore};
 use fsf_model::{Advertisement, DimKey, Event, Operator, Subscription};
@@ -214,6 +214,9 @@ pub struct PubSubNode {
     /// the node's local view of the discrete-event clock (monotone; stays
     /// 0 under zero-latency / wall-clock executors).
     clock: u64,
+    /// The match path's buffers, parked empty between events: allocated
+    /// once, at the first (most nodes of a wide tree never see one).
+    scratch: Option<Box<(Correlator<'static>, Vec<&'static Operator>)>>,
 }
 
 impl PubSubNode {
@@ -234,6 +237,7 @@ impl PubSubNode {
             routes: BTreeMap::new(),
             dropped_unanswerable: 0,
             clock: 0,
+            scratch: None,
         }
     }
 
@@ -761,16 +765,16 @@ impl PubSubNode {
             if !self.events.insert(event) {
                 continue; // duplicate or expired — nothing new can match
             }
-            // every pass shares its bands and records `sendTo` marks in it
-            let mut corr = Correlator::new(&self.events, event.timestamp);
-            let mut ops = Vec::new();
+            // every pass records its `sendTo` marks in it
+            let parked = self.scratch.as_deref_mut().map(std::mem::take);
+            let (mut corr, mut ops) = parked.unwrap_or_default();
             // Local delivery first (j == n) — from *all* local subscriptions,
             // covered or not (Algorithm 5 line 9: "S = S_local") — then each
             // neighbor but the sender (j ∈ neighbor(n) ∖ {m}), in order.
-            self.candidate_ops(Origin::Local, &event, true, &mut ops);
+            self.begin_pass(Origin::Local, &event, &mut corr, &mut ops);
             for op in &ops {
                 if let Some(complex) = corr.deliver(op) {
-                    ctx.deliver(op.sub(), &complex);
+                    ctx.deliver(op.sub(), complex);
                 }
             }
             for &j in &neighbors {
@@ -779,7 +783,8 @@ impl PubSubNode {
                 }
                 self.collect_forward(j, &event, &mut corr, &mut ops, &mut frames);
             }
-            self.events.apply(corr.finish());
+            let (corr, ops) = (corr.park(), recycle(ops));
+            **self.scratch.get_or_insert_default() = (self.events.apply(corr), ops);
         }
         for (j, frame) in frames {
             if !frame.batch.is_empty() {
@@ -793,14 +798,14 @@ impl PubSubNode {
         }
     }
 
-    /// Fill `ops` with the operators of `origin` that could involve `event`
-    /// (the candidate query on its sensor and its attribute-type dimension,
-    /// per the configured [`MatchMode`]), borrowed from the settled tables.
-    fn candidate_ops<'a>(
+    /// Start `origin`'s pass over `event`: fill `ops` from the settled tables
+    /// with its operators that could involve the event (the candidate query on
+    /// its sensor and attribute-type dimensions) and announce them to `corr`.
+    fn begin_pass<'a>(
         &'a self,
         origin: Origin,
         event: &Event,
-        include_covered: bool,
+        corr: &mut Correlator<'a>,
         ops: &mut Vec<&'a Operator>,
     ) {
         ops.clear();
@@ -809,11 +814,13 @@ impl PubSubNode {
         };
         let dims = [DimKey::Sensor(event.sensor), DimKey::Attr(event.attr)];
         let tables = [&store.uncovered, &store.covered];
-        for table in &tables[..1 + usize::from(include_covered)] {
+        for table in &tables[..1 + usize::from(origin == Origin::Local)] {
             for d in &dims {
                 table.candidates(self.config.match_mode, d, event, ops);
             }
         }
+        let mode = self.config.match_mode;
+        corr.begin_pass(&self.events, event.timestamp, mode, ops.iter().copied());
     }
 
     /// The per-neighbor half of Algorithm 5 for one event, accumulating
@@ -828,7 +835,7 @@ impl PubSubNode {
         ops: &mut Vec<&'a Operator>,
         frames: &mut BTreeMap<NodeId, LinkFrame>,
     ) {
-        self.candidate_ops(Origin::Neighbor(j), event, false, ops);
+        self.begin_pass(Origin::Neighbor(j), event, corr, ops);
         if ops.is_empty() {
             return;
         }

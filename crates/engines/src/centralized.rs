@@ -12,7 +12,7 @@
 //! with a large *fixed* component — every reading travels to the centre
 //! whether or not anyone wants it — plus the result traffic back out.
 
-use fsf_core::events::{Correlator, EventStore, SentScope};
+use fsf_core::events::{recycle, Correlator, EventStore, SentScope};
 use fsf_model::{ComplexEvent, DimKey, Event, Operator, SubId, Subscription};
 use fsf_network::{ChargeKind, Ctx, NodeBehavior, NodeId, Topology};
 use fsf_subsumption::{MatchMode, OperatorTable};
@@ -79,6 +79,8 @@ pub struct CentralNode {
     owners: BTreeMap<SubId, NodeId>,
     events: EventStore,
     match_mode: MatchMode,
+    /// The matcher's buffers, parked empty between events (centre only).
+    scratch: Option<Box<(Correlator<'static>, Vec<&'static Operator>)>>,
 }
 
 impl CentralNode {
@@ -107,6 +109,7 @@ impl CentralNode {
             owners: BTreeMap::new(),
             events: EventStore::new(event_validity),
             match_mode,
+            scratch: None,
         }
     }
 
@@ -205,13 +208,15 @@ impl CentralNode {
             return;
         }
         self.subs.settle();
-        let mut candidates: Vec<&Operator> = Vec::new();
+        let parked = self.scratch.as_deref_mut().map(std::mem::take);
+        let (mut corr, mut candidates) = parked.unwrap_or_default();
         for d in [DimKey::Sensor(event.sensor), DimKey::Attr(event.attr)] {
             self.subs
                 .candidates(self.match_mode, &d, &event, &mut candidates);
         }
-        let mut corr = Correlator::new(&self.events, event.timestamp);
-        for op in candidates {
+        let pass = candidates.iter().copied(); // all in one
+        corr.begin_pass(&self.events, event.timestamp, self.match_mode, pass);
+        for &op in &candidates {
             let scope = || SentScope::LocalSub(op.sub());
             let Some(scope) = corr.correlate(op, scope) else {
                 continue;
@@ -239,7 +244,8 @@ impl CentralNode {
                 );
             }
         }
-        self.events.apply(corr.finish());
+        let (corr, candidates) = (corr.park(), recycle(candidates));
+        **self.scratch.get_or_insert_default() = (self.events.apply(corr), candidates);
     }
 }
 

@@ -2,7 +2,7 @@
 
 use super::ops::{ring_pairs, MjKey, MjWireOp, WireKind};
 use super::store::{MjStore, StoredMj, StoredRole};
-use fsf_core::events::{Correlator, EventStore, LinkFrame, SentScope};
+use fsf_core::events::{recycle, Correlator, EventStore, LinkFrame, SentScope};
 use fsf_core::store::{AdvStore, AdvUpdate, Origin};
 use fsf_model::{Advertisement, DimKey, Event, Operator, Subscription};
 use fsf_network::{ChargeKind, Ctx, NodeBehavior, NodeId};
@@ -65,7 +65,12 @@ pub struct MjNode {
     forwarded: BTreeSet<(NodeId, MjKey)>,
     dropped_unanswerable: u64,
     match_mode: MatchMode,
+    /// The match path's buffers, parked empty between events (none yet: `None`).
+    scratch: Option<Box<(Correlator<'static>, Matched<'static>)>>,
 }
+
+/// One pass's candidates, borrowed from a settled [`MjStore`].
+type Matched<'a> = Vec<(&'a MjKey, &'a StoredMj)>;
 
 impl MjNode {
     /// Create a node. `event_validity` as for the other engines.
@@ -86,6 +91,7 @@ impl MjNode {
             forwarded: BTreeSet::new(),
             dropped_unanswerable: 0,
             match_mode,
+            scratch: None,
         }
     }
 
@@ -692,16 +698,18 @@ impl MjNode {
             if !self.events.insert(event) {
                 continue;
             }
-            // every pass shares its bands and records `sendTo` marks in it
-            let mut corr = Correlator::new(&self.events, event.timestamp);
-            self.deliver_locally(&event, &mut corr, ctx);
+            // every pass records its `sendTo` marks in it
+            let parked = self.scratch.as_deref_mut().map(std::mem::take);
+            let (mut corr, mut matched) = parked.unwrap_or_default();
+            self.deliver_locally(&event, &mut corr, &mut matched, ctx);
             for &j in &neighbors {
                 if Origin::Neighbor(j) == origin {
                     continue;
                 }
-                self.collect_forward(j, &event, &mut corr, &mut frames);
+                self.collect_forward(j, &event, &mut corr, &mut matched, &mut frames);
             }
-            self.events.apply(corr.finish());
+            let (corr, matched) = (corr.park(), recycle(matched));
+            **self.scratch.get_or_insert_default() = (self.events.apply(corr), matched);
         }
         for (j, frame) in frames {
             if !frame.batch.is_empty() {
@@ -711,16 +719,15 @@ impl MjNode {
         }
     }
 
-    /// The uncovered operators of `origin` whose value filter on the
-    /// event's sensor or attribute-type dimension matches it.
-    fn matching(&self, origin: Origin, event: &Event) -> Vec<(&MjKey, &StoredMj)> {
-        let mut matched = Vec::new();
+    /// Fill `matched` with the uncovered operators of `origin` whose value
+    /// filter on the event's sensor or attribute-type dimension matches it.
+    fn matching<'a>(&'a self, origin: Origin, event: &Event, matched: &mut Matched<'a>) {
+        matched.clear();
         if let Some(store) = self.stores.get(&origin) {
             for d in [DimKey::Sensor(event.sensor), DimKey::Attr(event.attr)] {
-                store.uncovered_matching(self.match_mode, &d, event, &mut matched);
+                store.uncovered_matching(self.match_mode, &d, event, matched);
             }
         }
-        matched
     }
 
     /// Final filtering at the user: whole-subscription window matching, so
@@ -729,22 +736,26 @@ impl MjNode {
         &'a self,
         event: &Event,
         corr: &mut Correlator<'a>,
+        matched: &mut Matched<'a>,
         ctx: &mut Ctx<'_, MjMsg>,
     ) {
         let Some(store) = self.stores.get(&Origin::Local) else {
             return;
         };
-        let mut candidates = self.matching(Origin::Local, event);
+        self.matching(Origin::Local, event, matched);
         // covered user subscriptions are still served (they ride on their
         // coverer's streams); consulted only here, that half stays a scan
-        candidates.extend(
+        matched.extend(
             store
                 .covered_entries()
                 .filter(|(_, s)| s.op.matches_simple(event)),
         );
-        for (_, s) in candidates.into_iter().filter(|(_, s)| s.is_user_sub) {
+        matched.retain(|(_, s)| s.is_user_sub);
+        let pass = matched.iter().map(|(_, s)| &s.op);
+        corr.begin_pass(&self.events, event.timestamp, self.match_mode, pass);
+        for (_, s) in matched.iter() {
             if let Some(complex) = corr.deliver(&s.op) {
-                ctx.deliver(s.op.sub(), &complex);
+                ctx.deliver(s.op.sub(), complex);
             }
         }
     }
@@ -757,23 +768,28 @@ impl MjNode {
         j: NodeId,
         event: &Event,
         corr: &mut Correlator<'a>,
+        matched: &mut Matched<'a>,
         frames: &mut BTreeMap<NodeId, LinkFrame>,
     ) {
         // Which stored events should flow to j because of this arrival?
-        let matched = self.matching(Origin::Neighbor(j), event);
+        self.matching(Origin::Neighbor(j), event, matched);
         if matched.is_empty() {
             return;
         }
+        // only the binary joins correlate
+        let joins = |m: &&(&MjKey, &StoredMj)| matches!(m.1.role, StoredRole::BinaryEval { .. });
+        let pass = matched.iter().filter(joins).map(|m| &m.1.op);
+        corr.begin_pass(&self.events, event.timestamp, self.match_mode, pass);
         let link = SentScope::Link(j);
         let frame = frames.entry(j).or_default();
-        for (_, s) in matched {
+        for (_, s) in matched.iter() {
             match s.role {
                 StoredRole::MultiSplit => {} // inert: binaries act here
                 StoredRole::FilterTransport | StoredRole::MultiAbove => {
                     // pass-through result dissemination: value filters only,
                     // no window re-evaluation (this is what lets binary-join
                     // false positives travel to the user)
-                    if corr.unsent(event.id, &link) {
+                    if corr.unsent(&self.events, event.id, &link) {
                         frame.push(event);
                         corr.mark(link.clone(), [event.id]);
                     }

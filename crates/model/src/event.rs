@@ -44,7 +44,7 @@ impl AsRef<Event> for Event {
 /// Constructed by the matching machinery; the constituent events are kept
 /// sorted by `(timestamp, id)` so two complex events over the same simple
 /// events compare equal.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ComplexEvent {
     events: Vec<Event>,
 }
@@ -52,10 +52,22 @@ pub struct ComplexEvent {
 impl ComplexEvent {
     /// Build a complex event from constituent simple events (sorted internally).
     #[must_use]
-    pub fn new(mut events: Vec<Event>) -> Self {
-        events.sort_by_key(|e| (e.timestamp, e.id));
-        events.dedup_by_key(|e| e.id);
-        ComplexEvent { events }
+    pub fn new(events: Vec<Event>) -> Self {
+        let mut complex = ComplexEvent { events };
+        complex.normalize();
+        complex
+    }
+
+    /// Replace the constituents, keeping the allocation.
+    pub fn refill(&mut self, events: impl IntoIterator<Item = Event>) {
+        self.events.clear();
+        self.events.extend(events);
+        self.normalize();
+    }
+
+    fn normalize(&mut self) {
+        self.events.sort_by_key(|e| (e.timestamp, e.id));
+        self.events.dedup_by_key(|e| e.id);
     }
 
     /// The constituent simple events, sorted by `(timestamp, id)`.
@@ -120,6 +132,13 @@ mod tests {
         assert_eq!(ce.len(), 2);
         assert_eq!(ce.events()[0].id, EventId(1));
         assert_eq!(ce.events()[1].id, EventId(2));
+    }
+
+    #[test]
+    fn refill_replaces_and_normalizes() {
+        let mut ce = ComplexEvent::new(vec![ev(9, 90)]);
+        ce.refill([ev(2, 20), ev(1, 10), ev(2, 20)]);
+        assert_eq!(ce, ComplexEvent::new(vec![ev(1, 10), ev(2, 20)]));
     }
 
     #[test]

@@ -81,6 +81,15 @@ impl Rect {
             && other.min.y <= self.max.y
     }
 
+    /// The smallest rectangle containing both.
+    #[must_use]
+    pub fn hull(&self, other: &Rect) -> Rect {
+        Rect {
+            min: Point::new(self.min.x.min(other.min.x), self.min.y.min(other.min.y)),
+            max: Point::new(self.max.x.max(other.max.x), self.max.y.max(other.max.y)),
+        }
+    }
+
     /// Centre point.
     #[must_use]
     pub fn center(&self) -> Point {
@@ -210,6 +219,8 @@ mod tests {
         assert!(big.contains_rect(&big));
         assert!(big.intersects(&small));
         assert!(!big.intersects(&outside));
+        assert_eq!(small.hull(&big), big);
+        assert_eq!(small.hull(&outside), Rect::new(p(2.0, 0.0), p(12.0, 3.0)));
     }
 
     #[test]

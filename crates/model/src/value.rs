@@ -83,6 +83,15 @@ impl ValueRange {
         (lo <= hi).then_some(ValueRange { min: lo, max: hi })
     }
 
+    /// The smallest range containing both.
+    #[must_use]
+    pub fn hull(&self, other: &ValueRange) -> ValueRange {
+        ValueRange {
+            min: self.min.min(other.min),
+            max: self.max.max(other.max),
+        }
+    }
+
     /// Interval length (`0` for equality filters, may be infinite).
     #[must_use]
     pub fn width(&self) -> f64 {
@@ -145,6 +154,8 @@ mod tests {
         assert!(!wide.intersects(&disjoint));
         assert_eq!(wide.intersection(&narrow), Some(narrow));
         assert_eq!(wide.intersection(&disjoint), None);
+        assert_eq!(narrow.hull(&wide), wide);
+        assert_eq!(narrow.hull(&disjoint), ValueRange::new(40.0, 300.0));
         // touching intervals intersect at the shared endpoint
         let touch = ValueRange::new(100.0, 150.0);
         assert_eq!(

@@ -4,9 +4,12 @@
 //! The heap allocations the node makes per handled event — candidate query,
 //! correlation bands, complex matching, dedup marks, outgoing frames,
 //! deliveries — are counted by this binary's own `#[global_allocator]` and
-//! held to a quarter of what the cloning match path (every stab result an
-//! owned `OperatorKey` and a cloned `Operator`, every band copied per
-//! operator and per neighbor) spent on the same input.
+//! held to what the match path spends with its buffers (correlator bands,
+//! matcher, marks, candidate list, the delivered complex event) parked in
+//! the node between events, plus a quarter. Every subscription here listens
+//! everywhere (`Region::All`) on 3 of 8 attribute types, so a pass's
+//! envelope drops next to nothing from a band: this guards what the
+//! reduction costs, not what it saves.
 
 use fsf::core::{PubSubConfig, PubSubMsg, PubSubNode};
 use fsf::model::{
@@ -19,9 +22,12 @@ use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Heap allocations per handled event of this exact scenario at the parent
-/// of the borrowing match path (commit f75b3be), measured by this test.
-const CLONING_PATH_ALLOCS_PER_EVENT: f64 = 619.6;
+/// Heap allocations per handled event of this exact scenario, measured by
+/// this test: 13.7 — what is left is the delivery log, the stored events
+/// and their `sendTo` flags, and the outgoing frames — plus 25 % headroom.
+/// (619.6 when every stab result and band was cloned, commit f75b3be; 48.3
+/// when they were borrowed but the buffers rebuilt per event, fad69de.)
+const ALLOCS_PER_EVENT_BUDGET: f64 = 17.2;
 
 thread_local! {
     /// `Some(n)`: this thread is being metered and has allocated `n` times.
@@ -159,8 +165,7 @@ fn the_match_path_stays_inside_its_allocation_budget() {
     let per_event = allocations as f64 / (FRAMES * FRAME_LEN) as f64;
     eprintln!("{per_event:.1} heap allocations per handled event ({stored} operators stored)");
     assert!(
-        per_event <= CLONING_PATH_ALLOCS_PER_EVENT / 4.0,
-        "{per_event:.1} allocations per handled event; the budget is a quarter of \
-         {CLONING_PATH_ALLOCS_PER_EVENT}"
+        per_event <= ALLOCS_PER_EVENT_BUDGET,
+        "{per_event:.1} allocations per handled event; the budget is {ALLOCS_PER_EVENT_BUDGET}"
     );
 }

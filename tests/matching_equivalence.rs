@@ -2,8 +2,12 @@
 //! (interval index) against the retained linear scan, which stays alive as
 //! the oracle (`MatchMode::LinearScan`).
 //!
-//! Two layers:
+//! Three layers:
 //!
+//! * band level — random event stores × random pass operator sets: a
+//!   [`Correlator`] pass over its envelope-reduced bands against the same
+//!   pass over the full bands (`LinearScan` does not reduce) and against the
+//!   flat [`complex_match`] of each operator alone;
 //! * table level — random operator sets stabbed directly through
 //!   [`fsf::subsumption::OperatorTable::candidates_for`] in both modes must
 //!   return the *same operators in the same order*, also after operators
@@ -13,10 +17,13 @@
 //!   nested, point and zero-width ranges) × reading streams, replayed on
 //!   all five engines twice: the event-at-a-time linear-scan oracle vs the
 //!   batched arrangement path, asserting per-subscription match-set and
-//!   full [`DeliveryLog`] equality.
+//!   full [`DeliveryLog`] equality; and a regional (`Rect`) abstract
+//!   workload, where a pass's envelope has a spatial hull to get wrong.
 
+use fsf::core::events::{Correlator, Stored};
+use fsf::core::{EventStore, SentScope};
 use fsf::engines::multijoin::{MjKey, MjStore, StoredMj, StoredRole};
-use fsf::model::DimKey;
+use fsf::model::{complex_match, DimKey, Rect, Region};
 use fsf::network::builders;
 use fsf::prelude::*;
 use fsf::subsumption::OperatorTable;
@@ -311,6 +318,233 @@ fn five_engines_match_the_scan_oracle_across_seeds() {
                 oracle.deliveries(),
                 batched.deliveries(),
                 "{ctx}: delivery logs diverged"
+            );
+        }
+    }
+}
+
+/// A value on the lattice every range bound below is drawn from, so readings
+/// sit exactly on range bounds and hull edges; now and then `-0.0` (equal to
+/// the bound `0.0`) or NaN (inside no range).
+fn lattice_value(rng: &mut StdRng) -> f64 {
+    match rng.gen_range(0..24) {
+        0 => -0.0,
+        1 => f64::NAN,
+        _ => rng.gen_range(0..=10) as f64,
+    }
+}
+
+fn lattice_range(rng: &mut StdRng) -> ValueRange {
+    let (a, b) = (rng.gen_range(0..=10u32), rng.gen_range(0..=10u32));
+    ValueRange::new(a.min(b) as f64, a.max(b) as f64)
+}
+
+/// One operator of a pass: abstract over one to three attribute types inside
+/// a `Rect`, `Circle` or `All` region (finite δl now and then), or identified
+/// over one or two sensors; δt differs between the operators of one pass.
+fn gen_pass_operator(rng: &mut StdRng, sub: u64) -> Operator {
+    let delta_t = [2, 4, 7][rng.gen_range(0..3usize)];
+    let mut dims: Vec<u32> = Vec::new();
+    while dims.len() < rng.gen_range(1..=3) {
+        let d = rng.gen_range(0..4u32);
+        if !dims.contains(&d) {
+            dims.push(d);
+        }
+    }
+    let shape = rng.gen_range(0..5);
+    if shape == 4 {
+        let filters = dims.iter().take(2);
+        let filters = filters.map(|&d| (SensorId(d + 1), lattice_range(rng)));
+        let named = Subscription::identified(SubId(sub), filters.collect::<Vec<_>>(), delta_t);
+        return Operator::from_subscription(&named.expect("distinct sensors"));
+    }
+    let corner = Point::new(rng.gen_range(0..6) as f64, rng.gen_range(0..6) as f64);
+    let region = match shape {
+        0 | 1 => {
+            let (w, h) = (rng.gen_range(0..5) as f64, rng.gen_range(0..5) as f64);
+            Region::Rect(Rect::new(corner, Point::new(corner.x + w, corner.y + h)))
+        }
+        2 => Region::Circle {
+            center: corner,
+            radius: rng.gen_range(1..5) as f64,
+        },
+        _ => Region::All,
+    };
+    let delta_l = rng.gen_bool(0.25).then(|| rng.gen_range(2..8) as f64);
+    let filters = dims.iter().map(|&d| (AttrId(d as u16), lattice_range(rng)));
+    let filters = filters.collect::<Vec<_>>();
+    let s = Subscription::abstract_over(SubId(sub), filters, region, delta_t, delta_l);
+    Operator::from_subscription(&s.expect("distinct attributes"))
+}
+
+/// Band level: whatever a pass's envelope drops from a band, no operator of
+/// the pass could have matched — so the reduced pass finds the same
+/// participants, in the same order, and the same `fresh` ones under stored
+/// and recorded `sendTo` marks, as the unreduced (`LinearScan`) pass; and a
+/// pass of one operator finds that operator's flat `complex_match`.
+#[test]
+fn reduced_bands_match_what_full_bands_match() {
+    let ids = |v: &[&Stored]| v.iter().map(|s| s.event().id).collect::<Vec<_>>();
+    let (mut matches, mut misses) = (0, 0);
+    for case in 0..4 * CASES {
+        let mut rng = StdRng::seed_from_u64(0xBA2D ^ (case * 0x9E37_79B9));
+        let mut store = EventStore::new(VALIDITY);
+        let link = SentScope::Link(NodeId(1));
+        for i in 0..rng.gen_range(20..70u64) {
+            let sensor = rng.gen_range(0..8u32);
+            let mut location = Point::new(rng.gen_range(0..=10) as f64, (sensor % 5) as f64);
+            if rng.gen_range(0..40) == 0 {
+                location.x = f64::NAN;
+            }
+            store.insert(Event {
+                id: EventId(i + 1),
+                sensor: SensorId(sensor + 1),
+                attr: AttrId((sensor % 4) as u16),
+                location,
+                value: lattice_value(&mut rng),
+                timestamp: Timestamp(1_000 + rng.gen_range(0..12u64)),
+            });
+            if rng.gen_bool(0.3) {
+                store.mark_sent(EventId(i + 1), &link);
+            }
+        }
+        let pass: Vec<Operator> = (0..rng.gen_range(1..=6))
+            .map(|i| gen_pass_operator(&mut rng, i))
+            .collect();
+        let at = Timestamp(1_000 + rng.gen_range(0..12u64));
+
+        let (mut reduced, mut full) = (Correlator::default(), Correlator::default());
+        reduced.begin_pass(&store, at, MatchMode::Arrangement, &pass);
+        full.begin_pass(&store, at, MatchMode::LinearScan, &pass);
+        for (i, op) in pass.iter().enumerate() {
+            let ctx = format!("case {case}, operator {i} of {}: {op:?}", pass.len());
+            let band = store.correlation_band(at, op.delta_t());
+            let flat: Option<Vec<EventId>> = complex_match(&band, op)
+                .map(|m| m.participants.iter().map(|&p| band[p].event().id).collect());
+            match &flat {
+                Some(_) => matches += 1,
+                None => misses += 1,
+            }
+            // every participant: nothing is marked under the operator's own
+            // scope — in the pass, and in a pass of this operator alone
+            let own = SentScope::LocalSub(SubId(i as u64));
+            let mut alone = Correlator::default();
+            alone.begin_pass(&store, at, MatchMode::Arrangement, [op]);
+            for (what, corr) in [("pass", &mut reduced), ("alone", &mut alone)] {
+                let matched = corr.correlate(op, || own.clone()).map(|_| ids(&corr.fresh));
+                assert_eq!(matched, flat, "{ctx}: {what} vs the flat match");
+            }
+            // the fresh ones: stored marks, and those the operators before
+            // this one recorded
+            let r = reduced.correlate(op, || link.clone());
+            let f = full.correlate(op, || link.clone());
+            assert_eq!(r, f, "{ctx}");
+            assert_eq!(ids(&reduced.fresh), ids(&full.fresh), "{ctx}: fresh");
+            if let (Some(r), Some(f)) = (r, f) {
+                reduced.mark_fresh(r);
+                full.mark_fresh(f);
+            }
+        }
+    }
+    assert!(
+        matches > 100 && misses > 100,
+        "one-sided cases: {matches} matches, {misses} misses"
+    );
+}
+
+/// Engine level, regional: abstract subscriptions over overlapping `Rect`
+/// regions, so the operators of one pass differ in *where* they listen and
+/// the pass's envelope carries a spatial hull. All three node families
+/// (`PubSubNode` under its three configurations, `MjNode`, `CentralNode`)
+/// must deliver under the reduced bands exactly what the unreduced oracle
+/// delivers, fed at the same cadence.
+#[test]
+fn five_engines_match_the_scan_oracle_on_a_regional_workload() {
+    for case in 0..CASES / 4 {
+        let mut rng = StdRng::seed_from_u64(0x2EC7 ^ (case * 0x9E37_79B9));
+        let topology = builders::balanced(15, 2);
+        let n = topology.len() as u32;
+        // sensor s at (s, s mod 3), alternating between two attribute types
+        let stations: Vec<(NodeId, Advertisement)> = (0..10u32)
+            .map(|s| {
+                let adv = Advertisement {
+                    sensor: SensorId(s + 1),
+                    attr: AttrId((s % 2) as u16),
+                    location: Point::new(s as f64, (s % 3) as f64),
+                };
+                (NodeId(rng.gen_range(0..n)), adv)
+            })
+            .collect();
+        // a window of at least two neighbouring sensors: both types inside
+        let subs: Vec<(NodeId, Subscription)> = (0..20u64)
+            .map(|i| {
+                let x0 = rng.gen_range(0..8) as f64;
+                let x1 = x0 + rng.gen_range(1..4) as f64;
+                let region = Region::Rect(Rect::new(Point::new(x0, 0.0), Point::new(x1, 2.0)));
+                let filters = (0..2).map(|a| {
+                    let lo = rng.gen_range(0..50) as f64;
+                    (
+                        AttrId(a),
+                        ValueRange::new(lo, lo + rng.gen_range(20..50) as f64),
+                    )
+                });
+                let filters = filters.collect::<Vec<_>>();
+                let delta_l = (i % 5 == 0).then_some(2.5);
+                let sub = Subscription::abstract_over(SubId(i + 1), filters, region, 6, delta_l);
+                (
+                    NodeId(rng.gen_range(0..n)),
+                    sub.expect("two attribute types"),
+                )
+            })
+            .collect();
+        let stream: Vec<Event> = (0..120u64)
+            .map(|i| {
+                let (_, adv) = stations[rng.gen_range(0..stations.len())];
+                Event {
+                    id: EventId(i + 1),
+                    sensor: adv.sensor,
+                    attr: adv.attr,
+                    location: adv.location,
+                    value: rng.gen_range(0..=100) as f64,
+                    timestamp: Timestamp(1_000 + i / 2),
+                }
+            })
+            .collect();
+
+        for kind in EngineKind::ALL {
+            let run = |mode: MatchMode| -> Box<dyn Engine> {
+                let mut e = kind
+                    .builder(topology.clone())
+                    .validity(VALIDITY)
+                    .seed(42)
+                    .latency(LatencyModel::Zero)
+                    .match_mode(mode)
+                    .build();
+                for (node, adv) in &stations {
+                    e.inject_sensor(*node, *adv);
+                }
+                e.flush();
+                for (node, sub) in &subs {
+                    e.inject_subscription(*node, sub.clone());
+                }
+                e.flush();
+                for chunk in stream.chunks(4) {
+                    for event in chunk {
+                        let host = stations[(event.sensor.0 - 1) as usize].0;
+                        e.inject_event(host, *event);
+                    }
+                    e.flush();
+                }
+                e
+            };
+            let (oracle, reduced) = (run(MatchMode::LinearScan), run(MatchMode::Arrangement));
+            let units = oracle.deliveries().total_event_units();
+            eprintln!("{units}");
+            assert!(units > 50, "case {case} / {kind}: only {units} units");
+            assert_eq!(
+                oracle.deliveries(),
+                reduced.deliveries(),
+                "case {case} / {kind}: delivery logs diverged"
             );
         }
     }

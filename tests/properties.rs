@@ -577,13 +577,13 @@ fn event_store_matches_a_naive_vec_model() {
                         let at = rng.gen_range(0..model.entries.len());
                         let scope = scopes[rng.gen_range(0..scopes.len())].clone();
                         let (e, sent) = &mut model.entries[at];
-                        store.mark_sent(e.id, scope.clone());
+                        store.mark_sent(e.id, &scope);
                         if !sent.contains(&scope) {
                             sent.push(scope);
                         }
                     }
                     // an unknown id is ignored
-                    store.mark_sent(EventId(u64::MAX), scopes[0].clone());
+                    store.mark_sent(EventId(u64::MAX), &scopes[0]);
                 }
                 _ => {
                     let t = clock.saturating_sub(rng.gen_range(0u64..validity));

@@ -567,7 +567,7 @@ pub(crate) mod tests {
                 e.inject_event(NodeId(node), ev(100 + i as u64, sensor, attr, v, t));
                 e.flush();
             }
-            let delivered = e.deliveries().delivered(SubId(1)).clone();
+            let delivered = e.deliveries().delivered(SubId(1)).to_vec();
             per_engine.push((kind.name(), delivered));
         }
         let reference = per_engine[0].1.clone();
@@ -652,7 +652,7 @@ pub(crate) mod tests {
                 e.inject_event(NodeId(6), ev(101, 2, 1, 5.0, 1010));
                 e.flush();
                 (
-                    e.deliveries().delivered(SubId(1)).clone(),
+                    e.deliveries().delivered(SubId(1)).to_vec(),
                     e.latency_summary(),
                     e.now(),
                 )

@@ -74,7 +74,7 @@ impl<P: Protocol> AsyncEngine<P> {
 
     fn refresh(&mut self) {
         self.stats_cache = self.host.stats();
-        self.deliveries_cache = self.host.deliveries();
+        self.host.drain_deliveries_into(&mut self.deliveries_cache);
     }
 
     fn apply_recovery(&mut self, delta: &RegraftDelta) {
@@ -273,7 +273,7 @@ impl<P: Protocol> EngineIntrospect for AsyncEngine<P> {
         self.host.queue_depth()
     }
     fn latency_summary(&self) -> LatencySummary {
-        self.host.deliveries().latency_summary()
+        self.deliveries_cache.latency_summary()
     }
     fn stats(&self) -> &TrafficStats {
         &self.stats_cache

@@ -20,7 +20,9 @@
 //!   delivery-latency summaries (p50/p95/max virtual ticks);
 //! * [`node`] — the seam engines are written against: the
 //!   [`NodeBehavior`] trait, the per-message [`Ctx`] (send, deliver,
-//!   virtual clock) and the [`DeliveryLog`]. The same trait is executed by
+//!   virtual clock) and the [`DeliveryLog`] — append now, settle at the
+//!   `&mut` boundary, readers assert settled (the settle-then-borrow rule
+//!   of `fsf_subsumption::RangeIndex`). The same trait is executed by
 //!   real OS threads and async tasks in `fsf-runtime`, demonstrating the
 //!   node logic under genuine concurrency;
 //! * [`sim`] — the one deterministic **discrete-event** [`Simulator`]:
@@ -54,7 +56,7 @@ pub mod traffic;
 
 pub use builders::ClusteredLayout;
 pub use latency::{LatencyModel, LatencySummary};
-pub use node::{Ctx, DeliveryLog, NodeBehavior};
+pub use node::{difference, Ctx, DeliveryLog, NodeBehavior};
 pub use shard::ShardPlan;
 pub use sim::{Backend, Simulator};
 pub use topology::{NodeId, RegraftDelta, Topology, TopologyError};

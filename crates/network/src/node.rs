@@ -1,6 +1,7 @@
 //! What every engine implements and what it sees of the network: the
 //! [`NodeBehavior`] trait, the per-message [`Ctx`] handed to it, and the
-//! [`DeliveryLog`] its deliveries land in. Everything *below* this seam —
+//! [`DeliveryLog`] its deliveries land in (appended now, settled at the
+//! end of the pump that recorded them). Everything *below* this seam —
 //! queues, clocks, crashes, partitions — belongs to the
 //! [`Simulator`](crate::Simulator) (or to `fsf-runtime`'s live hosts, which
 //! drive the same trait through [`Ctx::external`]).
@@ -9,7 +10,7 @@ use crate::latency::LatencySummary;
 use crate::topology::{NodeId, RegraftDelta, Topology};
 use crate::traffic::ChargeKind;
 use fsf_model::{ComplexEvent, EventId, SubId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// The node-logic trait implemented by every engine (FSF and the four
 /// baselines).
@@ -126,13 +127,28 @@ impl<'a, M> Ctx<'a, M> {
 /// user inside at least one delivered complex event — plus, per delivery,
 /// the virtual-time latency from reading injection to delivery.
 ///
-/// Equality compares the *delivered results* only (`per_sub` sets and the
+/// **Append now, settle at the boundary.** [`Self::record_at`] only appends
+/// `(sub, event)` units to an unsettled tail. [`Self::settle`] (`&mut`)
+/// sorts and deduplicates the tail and folds each subscription's run into
+/// that subscription's sorted id list. The simulator settles at the end of
+/// every pump and every management-plane callback, and
+/// [`Self::drain_into`] / [`Self::merge`] settle the log they fill, so every
+/// log an engine hands out is settled. The readers ([`Self::delivered`],
+/// [`Self::subs`], [`Self::total_event_units`], `==`) assert that it is: a
+/// stale read panics instead of silently missing units. This is the
+/// settle-then-borrow rule of `fsf_subsumption::RangeIndex`.
+///
+/// Equality compares the *delivered results* only (per-sub sets and the
 /// delivery count), not the latency samples: two engines can deliver the
 /// identical result sets at different speeds, and the equivalence tests
 /// compare logs across engines.
 #[derive(Debug, Clone, Default)]
 pub struct DeliveryLog {
-    per_sub: BTreeMap<SubId, BTreeSet<EventId>>,
+    /// Settled results: every subscription with a delivery and its
+    /// delivered ids, both sorted and deduplicated.
+    per_sub: Vec<(SubId, Vec<EventId>)>,
+    /// Units recorded since the last [`Self::settle`].
+    unsettled: Vec<(SubId, EventId)>,
     complex_deliveries: u64,
     /// Virtual injection time per simple event, registered by the engine
     /// wrapper when the reading enters the network.
@@ -141,16 +157,20 @@ pub struct DeliveryLog {
     /// injection time: delivery tick − injection tick of the *latest*
     /// injected constituent (the reading that completed the match).
     latencies: Vec<u64>,
-    /// Deliveries recorded before their constituents' injection times were
+    /// Deliveries recorded before any constituent's injection time was
     /// locally known: the live hosts record into short-lived per-task logs
-    /// while injections register on the shared log. Each entry resolves
-    /// into a latency sample when [`DeliveryLog::merge`] (or the shards
-    /// queue's drain) unites it with the injection registry.
-    pending: Vec<(Vec<EventId>, u64)>,
+    /// while injections register on the shared log. Each entry is
+    /// `(end, at)`, its constituents `pending_ids[previous end..end]`; it
+    /// resolves into a latency sample when [`Self::drain_into`] moves it
+    /// into a log holding the injection registry.
+    pending: Vec<(usize, u64)>,
+    pending_ids: Vec<EventId>,
 }
 
 impl PartialEq for DeliveryLog {
     fn eq(&self, other: &Self) -> bool {
+        self.assert_settled();
+        other.assert_settled();
         self.per_sub == other.per_sub && self.complex_deliveries == other.complex_deliveries
     }
 }
@@ -170,35 +190,84 @@ impl DeliveryLog {
         self.injected_at.entry(event).or_insert(at);
     }
 
-    /// Record one delivered complex event, without timing (compat shortcut
-    /// for executors with no virtual clock).
-    pub fn record(&mut self, sub: SubId, event: &ComplexEvent) {
-        self.record_at(sub, event, 0);
-    }
-
-    /// Record one complex event delivered at virtual time `at`.
+    /// Record one complex event delivered at virtual time `at`: its units
+    /// join the unsettled tail until the next [`Self::settle`].
     pub fn record_at(&mut self, sub: SubId, event: &ComplexEvent, at: u64) {
         self.complex_deliveries += 1;
-        if let Some(injected) = event
-            .event_ids()
-            .filter_map(|id| self.injected_at.get(&id).copied())
-            .max()
-        {
-            self.latencies.push(at.saturating_sub(injected));
-        } else {
-            self.pending.push((event.event_ids().collect(), at));
-        }
-        self.per_sub
-            .entry(sub)
-            .or_default()
-            .extend(event.event_ids());
+        let ids = event.events().iter().map(|e| e.id);
+        self.unsettled.extend(ids.clone().map(|id| (sub, id)));
+        self.sample(ids, at);
     }
 
-    /// Simple events delivered for `sub` (empty set if none).
+    /// A latency sample for a delivery of `ids` at `at`, anchored at its
+    /// latest registered constituent — or, with none registered here, a
+    /// pending entry.
+    fn sample(&mut self, ids: impl Iterator<Item = EventId> + Clone, at: u64) {
+        let injected = ids
+            .clone()
+            .filter_map(|id| self.injected_at.get(&id).copied())
+            .max();
+        match injected {
+            Some(injected) => self.latencies.push(at.saturating_sub(injected)),
+            None => {
+                self.pending_ids.extend(ids);
+                self.pending.push((self.pending_ids.len(), at));
+            }
+        }
+    }
+
+    /// Fold the unsettled tail into the per-sub lists: one sort and dedup
+    /// of the tail, then per subscription an append when its run starts
+    /// after the last stored id (a sort + dedup otherwise). Subscriptions
+    /// new to this settle are merged in with one pass.
+    pub fn settle(&mut self) {
+        if self.unsettled.is_empty() {
+            return;
+        }
+        self.unsettled.sort_unstable();
+        self.unsettled.dedup();
+        let settled = self.per_sub.len();
+        let mut at = 0;
+        for run in self.unsettled.chunk_by(|a, b| a.0 == b.0) {
+            let sub = run[0].0;
+            let ids = run.iter().map(|&(_, id)| id);
+            at += self.per_sub[at..settled].partition_point(|&(s, _)| s < sub);
+            if at < settled && self.per_sub[at].0 == sub {
+                let events = &mut self.per_sub[at].1;
+                let appends = events.last().is_none_or(|&last| last < run[0].1);
+                events.extend(ids);
+                if !appends {
+                    events.sort();
+                    events.dedup();
+                }
+            } else {
+                self.per_sub.push((sub, ids.collect()));
+            }
+        }
+        if self.per_sub.len() > settled {
+            self.per_sub.sort_by_key(|&(sub, _)| sub);
+        }
+        self.unsettled.clear();
+    }
+
+    fn assert_settled(&self) {
+        assert!(
+            self.unsettled.is_empty(),
+            "settle() the delivery log before reading it"
+        );
+    }
+
+    /// Simple events delivered for `sub`, sorted (empty if none).
+    ///
+    /// # Panics
+    /// If the log holds unsettled units.
     #[must_use]
-    pub fn delivered(&self, sub: SubId) -> &BTreeSet<EventId> {
-        static EMPTY: BTreeSet<EventId> = BTreeSet::new();
-        self.per_sub.get(&sub).unwrap_or(&EMPTY)
+    pub fn delivered(&self, sub: SubId) -> &[EventId] {
+        self.assert_settled();
+        match self.per_sub.binary_search_by_key(&sub, |&(s, _)| s) {
+            Ok(i) => &self.per_sub[i].1,
+            Err(_) => &[],
+        }
     }
 
     /// Number of `deliver` calls (complex events, duplicates included).
@@ -219,30 +288,46 @@ impl DeliveryLog {
         LatencySummary::from_samples(&self.latencies)
     }
 
-    /// Subscriptions with at least one delivery.
+    /// Subscriptions with at least one delivery, ascending.
+    ///
+    /// # Panics
+    /// If the log holds unsettled units.
     pub fn subs(&self) -> impl Iterator<Item = SubId> + '_ {
-        self.per_sub.keys().copied()
+        self.assert_settled();
+        self.per_sub.iter().map(|&(sub, _)| sub)
     }
 
     /// Total distinct (subscription, simple event) delivery pairs.
+    ///
+    /// # Panics
+    /// If the log holds unsettled units.
     #[must_use]
     pub fn total_event_units(&self) -> u64 {
-        self.per_sub.values().map(|s| s.len() as u64).sum()
+        self.assert_settled();
+        self.per_sub.iter().map(|(_, ids)| ids.len() as u64).sum()
     }
 
     /// Move this log's *results* (per-sub sets, delivery count, latency
-    /// samples) into `target`, leaving injection times behind so future
-    /// deliveries keep their latency anchor. The shards queue drains
-    /// per-shard logs into the merged log with this after every pump.
-    pub(crate) fn drain_into(&mut self, target: &mut DeliveryLog) {
-        target.complex_deliveries += self.complex_deliveries;
-        self.complex_deliveries = 0;
-        for (sub, events) in std::mem::take(&mut self.per_sub) {
-            target.per_sub.entry(sub).or_default().extend(events);
+    /// samples, pending deliveries) into `target` and settle it, leaving
+    /// injection times behind so future deliveries keep their latency
+    /// anchor. Pending deliveries resolve against `target`'s registry on
+    /// the way in; the ones it cannot anchor stay pending there. The shards
+    /// queue drains its per-shard logs with this after every pump, and the
+    /// async engine drains the host's log into its own.
+    pub fn drain_into(&mut self, target: &mut DeliveryLog) {
+        target.complex_deliveries += std::mem::take(&mut self.complex_deliveries);
+        for (sub, ids) in self.per_sub.drain(..) {
+            target.unsettled.extend(ids.into_iter().map(|id| (sub, id)));
         }
+        target.unsettled.append(&mut self.unsettled);
         target.latencies.append(&mut self.latencies);
-        target.pending.append(&mut self.pending);
-        target.resolve_pending();
+        let mut start = 0;
+        for (end, at) in self.pending.drain(..) {
+            target.sample(self.pending_ids[start..end].iter().copied(), at);
+            start = end;
+        }
+        self.pending_ids.clear();
+        target.settle();
     }
 
     /// Fold another log into this one (used by multi-executor runtimes).
@@ -260,53 +345,66 @@ impl DeliveryLog {
         }
         other.drain_into(self);
     }
+}
 
-    /// Convert pending deliveries whose constituents are now registered
-    /// into latency samples; the rest stay pending for a later merge.
-    fn resolve_pending(&mut self) {
-        let mut unresolved = Vec::new();
-        for (ids, at) in self.pending.drain(..) {
-            match ids
-                .iter()
-                .filter_map(|id| self.injected_at.get(id).copied())
-                .max()
-            {
-                Some(injected) => self.latencies.push(at.saturating_sub(injected)),
-                None => unresolved.push((ids, at)),
-            }
-        }
-        self.pending = unresolved;
-    }
+/// The elements of sorted `a` that sorted `b` lacks, in order: set
+/// difference over [`DeliveryLog::delivered`] slices. `a ⊆ b` exactly when
+/// it is empty.
+pub fn difference<'a, T: Ord>(a: &'a [T], b: &'a [T]) -> impl Iterator<Item = &'a T> + 'a {
+    let mut b = b.iter().peekable();
+    a.iter().filter(move |&x| {
+        while b.next_if(|&y| y < x).is_some() {}
+        b.peek() != Some(&x)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fsf_model::{AttrId, Event, Point, SensorId, Timestamp};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn ev(id: u64) -> Event {
+        ev_at(id, id)
+    }
+
+    fn ev_at(id: u64, ts: u64) -> Event {
         Event {
             id: EventId(id),
             sensor: SensorId(1),
             attr: AttrId(0),
             location: Point::new(0.0, 0.0),
             value: 0.0,
-            timestamp: Timestamp(id),
+            timestamp: Timestamp(ts),
         }
     }
 
     #[test]
     fn delivery_log_tracks_distinct_simple_events() {
         let mut log = DeliveryLog::new();
-        log.record(SubId(1), &ComplexEvent::new(vec![ev(1), ev(2)]));
-        log.record(SubId(1), &ComplexEvent::new(vec![ev(2), ev(3)]));
-        log.record(SubId(2), &ComplexEvent::new(vec![ev(1)]));
+        log.record_at(SubId(1), &ComplexEvent::new(vec![ev(1), ev(2)]), 0);
+        log.record_at(SubId(1), &ComplexEvent::new(vec![ev(2), ev(3)]), 0);
+        log.record_at(SubId(2), &ComplexEvent::new(vec![ev(1)]), 0);
+        log.settle();
         assert_eq!(log.complex_deliveries(), 3);
-        assert_eq!(log.delivered(SubId(1)).len(), 3);
+        assert_eq!(
+            log.delivered(SubId(1)),
+            &[EventId(1), EventId(2), EventId(3)]
+        );
         assert_eq!(log.delivered(SubId(2)).len(), 1);
         assert_eq!(log.delivered(SubId(9)).len(), 0);
         assert_eq!(log.total_event_units(), 4);
         assert_eq!(log.subs().count(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "settle() the delivery log")]
+    fn reading_an_unsettled_log_panics() {
+        let mut log = DeliveryLog::new();
+        log.record_at(SubId(1), &ComplexEvent::new(vec![ev(1)]), 0);
+        let _ = log.delivered(SubId(1));
     }
 
     #[test]
@@ -325,8 +423,10 @@ mod tests {
         // equality ignores timing: same results at different speeds compare
         // equal
         let mut other = DeliveryLog::new();
-        other.record(SubId(1), &ComplexEvent::new(vec![ev(1), ev(2)]));
-        other.record(SubId(1), &ComplexEvent::new(vec![ev(9)]));
+        other.record_at(SubId(1), &ComplexEvent::new(vec![ev(1), ev(2)]), 0);
+        other.record_at(SubId(1), &ComplexEvent::new(vec![ev(9)]), 0);
+        log.settle();
+        other.settle();
         assert_eq!(log, other);
     }
 
@@ -371,11 +471,167 @@ mod tests {
         assert_eq!(shared.complex_deliveries(), 2);
         assert_eq!(shared.latency_samples(), &[10]);
         assert_eq!(shared.delivered(SubId(1)).len(), 2);
-        // the straggler resolves exactly once when its injection registers
-        shared.note_injection(EventId(7), 115);
-        shared.resolve_pending();
-        assert_eq!(shared.latency_samples(), &[10, 5]);
-        shared.resolve_pending();
-        assert_eq!(shared.latency_samples(), &[10, 5], "resolution idempotent");
+        // the straggler resolves exactly once, in the first log it reaches
+        // that registered its injection
+        let mut cache = DeliveryLog::new();
+        cache.note_injection(EventId(7), 115);
+        shared.drain_into(&mut cache);
+        assert_eq!(cache.latency_samples(), &[10, 5]);
+        shared.drain_into(&mut cache);
+        assert_eq!(cache.latency_samples(), &[10, 5], "resolution idempotent");
+        assert_eq!(cache.complex_deliveries(), 2);
+    }
+
+    #[test]
+    fn difference_walks_two_sorted_slices() {
+        let ids = |v: &[u64]| v.iter().map(|&i| EventId(i)).collect::<Vec<_>>();
+        let (a, b) = (ids(&[1, 3, 5, 7]), ids(&[0, 3, 4, 7, 9]));
+        assert_eq!(difference(&a, &b).collect::<Vec<_>>(), [&a[0], &a[2]]);
+        assert_eq!(difference(&b, &a).count(), 3);
+        assert!(difference(&a[1..2], &b).next().is_none(), "{{3}} ⊆ b");
+        assert!(difference(&[] as &[EventId], &a).next().is_none());
+    }
+
+    /// The naive log the columnar one replaced: one set per subscription,
+    /// updated per unit, and pending deliveries kept as owned id lists.
+    #[derive(Default)]
+    struct Model {
+        per_sub: BTreeMap<SubId, BTreeSet<EventId>>,
+        complex_deliveries: u64,
+        injected_at: BTreeMap<EventId, u64>,
+        latencies: Vec<u64>,
+        pending: Vec<(Vec<EventId>, u64)>,
+    }
+
+    impl Model {
+        fn record_at(&mut self, sub: SubId, ids: Vec<EventId>, at: u64) {
+            self.complex_deliveries += 1;
+            self.per_sub.entry(sub).or_default().extend(&ids);
+            self.sample(ids, at);
+        }
+
+        fn sample(&mut self, ids: Vec<EventId>, at: u64) {
+            match ids.iter().filter_map(|id| self.injected_at.get(id)).max() {
+                Some(&injected) => self.latencies.push(at.saturating_sub(injected)),
+                None => self.pending.push((ids, at)),
+            }
+        }
+
+        fn drain_into(&mut self, target: &mut Model) {
+            target.complex_deliveries += std::mem::take(&mut self.complex_deliveries);
+            for (sub, ids) in std::mem::take(&mut self.per_sub) {
+                target.per_sub.entry(sub).or_default().extend(ids);
+            }
+            target.latencies.append(&mut self.latencies);
+            for (ids, at) in std::mem::take(&mut self.pending) {
+                target.sample(ids, at);
+            }
+        }
+
+        fn merge(&mut self, other: &mut Model) {
+            for (&id, &at) in &other.injected_at {
+                self.injected_at.entry(id).or_insert(at);
+            }
+            other.drain_into(self);
+        }
+    }
+
+    /// Everything a settled log reports matches the model, and the log
+    /// equals `twin`, fed the same operations but settled after each one.
+    fn check(log: &DeliveryLog, twin: &DeliveryLog, model: &Model, what: &str) {
+        let subs: Vec<SubId> = model.per_sub.keys().copied().collect();
+        assert_eq!(log.subs().collect::<Vec<_>>(), subs, "{what}: subs");
+        for (&sub, ids) in &model.per_sub {
+            let want: Vec<EventId> = ids.iter().copied().collect();
+            assert_eq!(log.delivered(sub), want, "{what}: {sub:?}");
+        }
+        let units: usize = model.per_sub.values().map(BTreeSet::len).sum();
+        assert_eq!(log.total_event_units(), units as u64, "{what}: units");
+        assert_eq!(log.complex_deliveries(), model.complex_deliveries, "{what}");
+        assert_eq!(log.latency_samples(), model.latencies, "{what}: latencies");
+        assert!(log == twin, "{what}: != its eagerly settled twin");
+    }
+
+    /// `(xs[i], xs[1 - i])`.
+    fn pair<T>([a, b]: &mut [T; 2], i: usize) -> (&mut T, &mut T) {
+        if i == 0 {
+            (a, b)
+        } else {
+            (b, a)
+        }
+    }
+
+    /// Seeded interleavings of every mutation on two logs (a shared one
+    /// and a per-task one), against the naive model: repeated units,
+    /// ids arriving out of order, deliveries with unregistered
+    /// constituents, settles at random points, a merge followed by a
+    /// second merge of the same log, and drains either way.
+    #[test]
+    fn columnar_log_matches_the_naive_model_under_random_interleavings() {
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(0xDE11_0000 + seed);
+            let mut logs = [DeliveryLog::new(), DeliveryLog::new()];
+            let mut twins = [DeliveryLog::new(), DeliveryLog::new()];
+            let mut models = [Model::default(), Model::default()];
+            for step in 0..400 {
+                let what = format!("seed {seed} step {step}");
+                let i = rng.gen_range(0..2usize);
+                let (j, mut settled) = (1 - i, None);
+                match rng.gen_range(0..100u32) {
+                    0..=11 => {
+                        let (id, at) = (EventId(rng.gen_range(0..48)), rng.gen_range(0..500));
+                        logs[i].note_injection(id, at);
+                        twins[i].note_injection(id, at);
+                        models[i].injected_at.entry(id).or_insert(at);
+                    }
+                    12..=79 => {
+                        let sub = SubId(rng.gen_range(0..10));
+                        let n = rng.gen_range(1..5);
+                        let event = ComplexEvent::new(
+                            (0..n)
+                                .map(|_| ev_at(rng.gen_range(0..48), rng.gen_range(0..64)))
+                                .collect(),
+                        );
+                        let at = rng.gen_range(0..800);
+                        logs[i].record_at(sub, &event, at);
+                        twins[i].record_at(sub, &event, at);
+                        twins[i].settle();
+                        models[i].record_at(sub, event.event_ids().collect(), at);
+                    }
+                    80..=89 => {
+                        logs[i].settle();
+                        settled = Some(i);
+                    }
+                    90..=95 => {
+                        let (log, other) = pair(&mut logs, i);
+                        let (twin, twin_other) = pair(&mut twins, i);
+                        let (model, model_other) = pair(&mut models, i);
+                        // twice: the second merge of a drained log is a no-op
+                        for _ in 0..2 {
+                            log.merge(other);
+                            twin.merge(twin_other);
+                            model.merge(model_other);
+                            check(log, twin, model, &what);
+                            check(other, twin_other, model_other, &what);
+                        }
+                    }
+                    _ => {
+                        let (log, other) = pair(&mut logs, i);
+                        let (twin, twin_other) = pair(&mut twins, i);
+                        let (model, model_other) = pair(&mut models, i);
+                        log.drain_into(other);
+                        twin.drain_into(twin_other);
+                        model.drain_into(model_other);
+                        settled = Some(j);
+                    }
+                }
+                if let Some(k) = settled {
+                    check(&logs[k], &twins[k], &models[k], &what);
+                    if k == j {
+                        check(&logs[i], &twins[i], &models[i], &what);
+                    }
+                }
+            }
+        }
     }
 }

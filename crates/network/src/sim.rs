@@ -112,7 +112,8 @@ pub struct Simulator<B: NodeBehavior, S: TelemetrySink = Noop> {
     sink: S,
     /// Accumulated traffic counters.
     pub stats: TrafficStats,
-    /// Accumulated end-user deliveries.
+    /// Accumulated end-user deliveries, settled at the end of every pump
+    /// and management-plane callback.
     pub deliveries: DeliveryLog,
     now: u64,
     max_steps_per_run: u64,
@@ -383,6 +384,7 @@ where
             );
             call(self.queue.node_mut(node), &mut ctx);
         }
+        self.deliveries.settle();
         let sends = outbox.len() as u64;
         for (to, msg, kind, units) in outbox.drain(..) {
             self.stats.charge(kind, node, to, units);
@@ -611,8 +613,8 @@ where
         self.enqueue_fresh(node, node, msg, at, TrafficClass::Inject, 1);
     }
 
-    /// Pump the active queue to `horizon` (if any) or quiescence. Returns
-    /// the number of messages handled.
+    /// Pump the active queue to `horizon` (if any) or quiescence, then
+    /// settle the delivery log. Returns the number of messages handled.
     ///
     /// # Panics
     /// Panics with [`Self::runaway_report`] when the pump would pop more
@@ -624,6 +626,7 @@ where
             Queue::Heap(h) => h.pump(horizon, budget, net),
             Queue::Shards(s) => s.run_rounds(horizon, budget, net),
         };
+        self.deliveries.settle();
         if out_of_budget {
             panic!("{}", self.runaway_report());
         }

@@ -583,10 +583,10 @@ where
         self.shared.stats.lock().clone()
     }
 
-    /// Snapshot of the accumulated deliveries.
-    #[must_use]
-    pub fn deliveries(&self) -> DeliveryLog {
-        self.shared.deliveries.lock().clone()
+    /// Move the deliveries merged since the last call into `target` (see
+    /// [`DeliveryLog::drain_into`]); the injection registry stays here.
+    pub fn drain_deliveries_into(&self, target: &mut DeliveryLog) {
+        self.shared.deliveries.lock().drain_into(target);
     }
 
     /// Snapshot of the conservation ledger.
@@ -622,7 +622,7 @@ where
         self.wait_quiescent();
         self.stop_and_join();
         let stats = self.shared.stats.lock().clone();
-        let deliveries = self.shared.deliveries.lock().clone();
+        let deliveries = std::mem::take(&mut *self.shared.deliveries.lock());
         (stats, deliveries)
     }
 
@@ -728,10 +728,11 @@ async fn node_task<B>(
     }
 }
 
+/// Fold a handler's deliveries into the shared log under its lock; the
+/// merge drains `local` and keeps its buffers for the next handler.
 fn merge_deliveries(shared: &HostShared, local: &mut DeliveryLog) {
     if local.complex_deliveries() > 0 {
         shared.deliveries.lock().merge(local);
-        *local = DeliveryLog::new();
     }
 }
 

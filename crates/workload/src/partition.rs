@@ -26,7 +26,7 @@
 
 use fsf_dynamics::{leaks, run_plan, ChurnPlan, PartitionPlanConfig};
 use fsf_engines::EngineKind;
-use fsf_network::builders;
+use fsf_network::{builders, difference};
 
 /// Parameters of the partition experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,10 +123,8 @@ pub fn run_partition(config: &PartitionConfig) -> Vec<PartitionRow> {
             let lost_in_split_only = oracle.severed_subs.iter().all(|&s| {
                 let got = p.deliveries().delivered(s);
                 let want = t.deliveries().delivered(s);
-                got.is_subset(want)
-                    && want
-                        .difference(got)
-                        .all(|e| oracle.split_events.contains(e))
+                difference(got, want).next().is_none()
+                    && difference(want, got).all(|e| oracle.split_events.contains(e))
             });
             PartitionRow {
                 engine: kind,

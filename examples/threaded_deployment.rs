@@ -19,11 +19,11 @@
 use fsf::network::DeliveryLog;
 use fsf::prelude::*;
 use fsf::workload::{ScenarioConfig, Workload};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// The confluent view of a delivery log: per-subscription delivered sets.
-fn delivered_sets(log: &DeliveryLog) -> BTreeMap<SubId, BTreeSet<EventId>> {
-    log.subs().map(|s| (s, log.delivered(s).clone())).collect()
+fn delivered_sets(log: &DeliveryLog) -> BTreeMap<SubId, Vec<EventId>> {
+    log.subs().map(|s| (s, log.delivered(s).to_vec())).collect()
 }
 
 fn replay(workload: &Workload, deploy: Deploy) -> (u64, u64, DeliveryLog) {

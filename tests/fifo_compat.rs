@@ -71,6 +71,7 @@ impl RefFifo {
                 self.queue.push_back((to, next, m));
             }
         }
+        self.deliveries.settle();
     }
 }
 

@@ -186,587 +186,6 @@ pub fn table1() -> String {
     out
 }
 
-/// EXT-2: recall and traffic **under churn** for the four distributed
-/// engines — the dynamic counterpart of Figs. 4–12. A seeded
-/// [`fsf_workload::churn`] plan (subscribe/unsubscribe, sensor up/down,
-/// interleaved readings, full teardown) replays through every engine;
-/// deterministic engines must hold recall 1.0 relative to the exact naive
-/// baseline, and the teardown must leave every node empty.
-#[must_use]
-pub fn ext2_churn(scale: f64) -> (String, Vec<crate::json::JsonRecord>) {
-    let config = if scale < 1.0 {
-        fsf_workload::ChurnConfig::paper_scale().scaled(scale)
-    } else {
-        fsf_workload::ChurnConfig::paper_scale()
-    };
-    let rows = fsf_workload::run_churn(&config);
-    let mut out = format!(
-        "== ext2 — recall and traffic under churn ({}, {} nodes, {} churn actions) ==\n",
-        config.name, config.total_nodes, config.plan.churn_actions
-    );
-    out.push_str(&format!(
-        "{:<34} {:>12} {:>12} {:>10} {:>8} {:>9}\n",
-        "approach", "sub load", "event load", "delivered", "recall", "teardown"
-    ));
-    let mut records = Vec::new();
-    for r in &rows {
-        out.push_str(&format!(
-            "{:<34} {:>12} {:>12} {:>10} {:>8.4} {:>9}\n",
-            r.engine.name(),
-            r.sub_forwards,
-            r.event_units,
-            r.delivered_units,
-            r.recall_vs_exact,
-            if r.teardown_clean { "clean" } else { "LEAKED" },
-        ));
-        let name = r.engine.name();
-        records.push(crate::json::JsonRecord::new(
-            "ext2",
-            name,
-            "subscription load",
-            r.sub_forwards as f64,
-        ));
-        records.push(crate::json::JsonRecord::new(
-            "ext2",
-            name,
-            "event load",
-            r.event_units as f64,
-        ));
-        records.push(crate::json::JsonRecord::new(
-            "ext2",
-            name,
-            "delivered units",
-            r.delivered_units as f64,
-        ));
-        records.push(crate::json::JsonRecord::new(
-            "ext2",
-            name,
-            "recall vs exact",
-            r.recall_vs_exact,
-        ));
-        records.push(crate::json::JsonRecord::new(
-            "ext2",
-            name,
-            "teardown clean",
-            if r.teardown_clean { 1.0 } else { 0.0 },
-        ));
-    }
-    (out, records)
-}
-
-/// EXT-3: delivery-latency distributions under the discrete-event clock —
-/// the response-time axis the traffic figures cannot show. A seeded churn
-/// plan replays **timed** (actions fire at their virtual timestamps, no
-/// per-action flushes) through all five engines over a network with
-/// per-hop message latency; the table reports p50/p95/max virtual ticks
-/// from reading injection to complex-event delivery.
-#[must_use]
-pub fn ext3_latency(scale: f64) -> (String, Vec<crate::json::JsonRecord>) {
-    let config = if scale < 1.0 {
-        fsf_workload::TimedConfig::paper_scale().scaled(scale)
-    } else {
-        fsf_workload::TimedConfig::paper_scale()
-    };
-    let rows = fsf_workload::run_timed(&config);
-    let mut out = format!(
-        "== ext3 — delivery latency under a timed network ({}, {} nodes, {:?}) ==\n",
-        config.name, config.total_nodes, config.latency
-    );
-    out.push_str(&format!(
-        "{:<34} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>12}\n",
-        "approach",
-        "delivered",
-        "samples",
-        "lat p50",
-        "lat p95",
-        "lat p99",
-        "lat max",
-        "lat mean",
-        "final clock"
-    ));
-    let mut records = Vec::new();
-    for r in &rows {
-        out.push_str(&format!(
-            "{:<34} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9.1} {:>12}\n",
-            r.engine.name(),
-            r.delivered_units,
-            r.latency.samples,
-            r.latency.p50,
-            r.latency.p95,
-            r.latency.p99,
-            r.latency.max,
-            r.latency.mean,
-            r.final_clock,
-        ));
-        let name = r.engine.name();
-        records.push(crate::json::JsonRecord::new(
-            "ext3",
-            name,
-            "delivered units",
-            r.delivered_units as f64,
-        ));
-        records.append(&mut latency_records("ext3", name, &r.latency));
-    }
-    (out, records)
-}
-
-/// The latency-distribution records one engine contributes to a figure's
-/// JSON output. A summary with **no samples** is all zeros by
-/// construction ([`fsf_network::LatencySummary::from_samples`] on an
-/// empty slice), and a zero is a meaningless gate baseline: the first run
-/// with real samples would read as unbounded p95/p99 growth. So only the
-/// sample count is emitted, and the percentile records stay absent —
-/// which the compare gate reports as informational missing-vs-present
-/// drift, not a regression.
-#[must_use]
-pub fn latency_records(
-    id: &str,
-    engine: &str,
-    latency: &fsf_network::LatencySummary,
-) -> Vec<crate::json::JsonRecord> {
-    let mut records = vec![crate::json::JsonRecord::new(
-        id,
-        engine,
-        "latency samples",
-        latency.samples as f64,
-    )];
-    if latency.samples == 0 {
-        return records;
-    }
-    for (metric, value) in [
-        ("latency p50", latency.p50 as f64),
-        ("latency p95", latency.p95 as f64),
-        ("latency p99", latency.p99 as f64),
-        ("latency max", latency.max as f64),
-        ("latency mean", latency.mean),
-    ] {
-        records.push(crate::json::JsonRecord::new(id, engine, metric, value));
-    }
-    records
-}
-
-/// EXT-4: recall and message cost before / during / after an interior-node
-/// crash, per engine — the recovery protocol's ledger. A seeded deployment
-/// publishes three epoch-separated reading phases; a stateless interior
-/// relay crashes before phase 2 (auto-recovery off, so the outage is
-/// measurable) and the recovery protocol runs before phase 3. Recall is
-/// relative to a crash-free naive oracle: deterministic engines must sit
-/// at 1.0 in phase 1, typically dip in phase 2, and return to 1.0 in
-/// phase 3. The cost columns report what the repair took.
-#[must_use]
-pub fn ext4_recovery(scale: f64) -> (String, Vec<crate::json::JsonRecord>) {
-    let config = if scale < 1.0 {
-        fsf_workload::RecoveryConfig::paper_scale().scaled(scale)
-    } else {
-        fsf_workload::RecoveryConfig::paper_scale()
-    };
-    let rows = fsf_workload::run_recovery(&config);
-    let mut out = format!(
-        "== ext4 — recall across an interior crash + recovery ({}, {} nodes, \
-         {} readings/phase) ==\n",
-        config.name, config.total_nodes, config.events_per_phase
-    );
-    out.push_str(&format!(
-        "{:<34} {:>10} {:>10} {:>10} {:>9} {:>9}\n",
-        "approach", "pre-crash", "outage", "recovered", "repairs", "control"
-    ));
-    let mut records = Vec::new();
-    for r in &rows {
-        out.push_str(&format!(
-            "{:<34} {:>10.4} {:>10.4} {:>10.4} {:>9} {:>9}\n",
-            r.engine.name(),
-            r.recall[0],
-            r.recall[1],
-            r.recall[2],
-            r.repair_msgs,
-            r.control_injections,
-        ));
-        let name = r.engine.name();
-        for (metric, value) in [
-            ("recall pre-crash", r.recall[0]),
-            ("recall during outage", r.recall[1]),
-            ("recall post-recovery", r.recall[2]),
-            ("repair messages", r.repair_msgs as f64),
-            ("control injections", r.control_injections as f64),
-            ("delivered units", r.delivered.iter().sum::<u64>() as f64),
-        ] {
-            records.push(crate::json::JsonRecord::new("ext4", name, metric, value));
-        }
-    }
-    (out, records)
-}
-
-/// EXT-5: handoff cost and recall under **sensor mobility** — what the
-/// `Move` re-advertisement protocol charges for keeping a known sensor id
-/// routable while it travels. A seeded id-reusing churn plan (live
-/// handoffs and departed-id revivals) replays through every engine next
-/// to its stationary twin (retire the old id, fresh id at the new node,
-/// migrate the referencing subscriptions); a correct protocol delivers
-/// the identical log (`recall vs stationary twin` = 1.0, twin-equal,
-/// clean teardown), and the handoff columns report the per-move message
-/// bill.
-#[must_use]
-pub fn ext5_mobility(scale: f64) -> (String, Vec<crate::json::JsonRecord>) {
-    let config = if scale < 1.0 {
-        fsf_workload::MobilityConfig::paper_scale().scaled(scale)
-    } else {
-        fsf_workload::MobilityConfig::paper_scale()
-    };
-    let rows = fsf_workload::run_mobility(&config);
-    let mut out = format!(
-        "== ext5 — handoff cost and recall under sensor mobility ({}, {} nodes, \
-         {} churn actions) ==\n",
-        config.name, config.total_nodes, config.plan.churn_actions
-    );
-    out.push_str(&format!(
-        "{:<34} {:>6} {:>9} {:>11} {:>10} {:>8} {:>6} {:>9}\n",
-        "approach", "moves", "handoffs", "handoff/mv", "delivered", "recall", "twin", "teardown"
-    ));
-    let mut records = Vec::new();
-    for r in &rows {
-        out.push_str(&format!(
-            "{:<34} {:>6} {:>9} {:>11.2} {:>10} {:>8.4} {:>6} {:>9}\n",
-            r.engine.name(),
-            r.moves,
-            r.handoff_msgs,
-            r.handoff_per_move,
-            r.delivered_units,
-            r.recall_vs_twin,
-            if r.twin_equal { "equal" } else { "DIFF" },
-            if r.teardown_clean { "clean" } else { "LEAKED" },
-        ));
-        let name = r.engine.name();
-        for (metric, value) in [
-            ("moves", r.moves as f64),
-            ("handoff messages", r.handoff_msgs as f64),
-            ("handoff per move", r.handoff_per_move),
-            ("delivered units", r.delivered_units as f64),
-            ("recall vs stationary twin", r.recall_vs_twin),
-            ("twin equal", if r.twin_equal { 1.0 } else { 0.0 }),
-            ("teardown clean", if r.teardown_clean { 1.0 } else { 0.0 }),
-        ] {
-            records.push(crate::json::JsonRecord::new("ext5", name, metric, value));
-        }
-    }
-    (out, records)
-}
-
-/// EXT-6: scheduler throughput of the sharded conservative-parallel
-/// simulator as the network grows — nodes vs events/sec across event-queue
-/// shard counts. Every multi-shard run is gated event-for-event against
-/// the single-shard oracle (`recall vs single shard` = 1.0 means the
-/// delivered logs and step counts came out identical) and on the message
-/// conservation invariant. At full scale the sweep reaches a million-node
-/// tree (flood-only: the engine-level station workload stops at the 131k
-/// point). Throughput is wall-clock and machine-dependent; the equality
-/// and conservation columns are deterministic.
-#[must_use]
-pub fn ext6_scale(scale: f64) -> (String, Vec<crate::json::JsonRecord>) {
-    // (nodes, stations, floods): stations = 0 skips the engine-level run
-    let sizes: &[(usize, usize, usize)] = if scale >= 1.0 {
-        &[
-            (1_023, 16, 8),
-            ((1 << 15) - 1, 16, 8),
-            ((1 << 17) - 1, 16, 8),
-            ((1 << 20) - 1, 0, 4),
-        ]
-    } else {
-        &[(1_023, 8, 4), ((1 << 12) - 1, 8, 4)]
-    };
-    let mut out = String::from(
-        "== ext6 — sharded-simulator throughput vs network size ==\n\
-         (flood ev/s: raw relay-flood scheduler throughput; speedup vs the \
-         1-shard oracle)\n",
-    );
-    out.push_str(&format!(
-        "{:>9} {:>7} {:>10} {:>12} {:>12} {:>8} {:>12} {:>6} {:>9}\n",
-        "nodes",
-        "shards",
-        "effective",
-        "flood steps",
-        "flood ev/s",
-        "speedup",
-        "engine ev/s",
-        "equal",
-        "conserved"
-    ));
-    let mut records = Vec::new();
-    for &(nodes, stations, floods) in sizes {
-        let mut config = fsf_workload::ScaleConfig::paper_scale().with_nodes(nodes);
-        config.stations = stations;
-        config.floods = floods;
-        if scale < 1.0 {
-            config.events_per_station = 2;
-            config.shard_counts = vec![1, 2, 4];
-        }
-        let rows = fsf_workload::run_scale(&config);
-        let base = rows
-            .iter()
-            .find(|r| r.shards == 1)
-            .map_or(0.0, |r| r.flood_events_per_sec);
-        for r in &rows {
-            let speedup = if base > 0.0 {
-                r.flood_events_per_sec / base
-            } else {
-                0.0
-            };
-            out.push_str(&format!(
-                "{:>9} {:>7} {:>10} {:>12} {:>12.0} {:>7.2}x {:>12.0} {:>6} {:>9}\n",
-                r.nodes,
-                r.shards,
-                r.effective_shards,
-                r.flood_steps,
-                r.flood_events_per_sec,
-                speedup,
-                r.engine_events_per_sec,
-                if r.equal_to_single { "yes" } else { "DIFF" },
-                if r.conserved { "yes" } else { "BROKEN" },
-            ));
-            let engine = format!("{} nodes / {} shards", r.nodes, r.shards);
-            for (metric, value) in [
-                ("flood events/sec", r.flood_events_per_sec),
-                ("speedup vs 1 shard", speedup),
-                ("engine events/sec", r.engine_events_per_sec),
-                (
-                    "recall vs single shard",
-                    if r.equal_to_single { 1.0 } else { 0.0 },
-                ),
-                ("conserved", if r.conserved { 1.0 } else { 0.0 }),
-                ("effective shards", r.effective_shards as f64),
-            ] {
-                records.push(crate::json::JsonRecord::new("ext6", &engine, metric, value));
-            }
-        }
-    }
-    (out, records)
-}
-
-/// One measured leg of the ext7 sweep: build an engine in `mode`, load
-/// `n_ops` single-sensor operators, push the reading stream and time it.
-/// `batch` = 0 means event-at-a-time injection (one `Publish` per reading);
-/// otherwise readings go through [`fsf_engines::Engine::inject_events`] in
-/// delta frames of that size.
-fn ext7_run(
-    kind: EngineKind,
-    mode: fsf_engines::MatchMode,
-    n_ops: usize,
-    n_events: usize,
-    batch: usize,
-) -> (f64, fsf_network::DeliveryLog) {
-    use fsf_model::{
-        Advertisement, AttrId, Event, EventId, Point, SensorId, SubId, Subscription, Timestamp,
-        ValueRange,
-    };
-    use fsf_network::NodeId;
-    let delta_t = 4;
-    // event validity 10_000: the whole reading stream stays in-window
-    let mut e = kind
-        .builder(fsf_network::builders::line(3))
-        .validity(10_000)
-        .seed(ENGINE_SEED)
-        .match_mode(mode)
-        .build();
-    // deterministic xorshift so both legs see identical operators/readings
-    let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ (n_ops as u64);
-    let mut rng = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    e.inject_sensor(
-        NodeId(0),
-        Advertisement {
-            sensor: SensorId(1),
-            attr: AttrId(0),
-            location: Point::new(0.0, 0.0),
-        },
-    );
-    e.flush();
-    for i in 0..n_ops {
-        let lo = (rng() % 99_800) as f64 / 1_000.0;
-        let sub = Subscription::identified(
-            SubId(i as u64 + 1),
-            [(SensorId(1), ValueRange::new(lo, lo + 0.2))],
-            delta_t,
-        )
-        .expect("single-sensor subscription");
-        e.inject_subscription(NodeId(2), sub);
-    }
-    e.flush();
-    let events: Vec<Event> = (0..n_events)
-        .map(|i| Event {
-            id: EventId(i as u64 + 1),
-            sensor: SensorId(1),
-            attr: AttrId(0),
-            location: Point::new(0.0, 0.0),
-            value: (rng() % 100_000) as f64 / 1_000.0,
-            timestamp: Timestamp(1_000 + i as u64),
-        })
-        .collect();
-    let start = std::time::Instant::now();
-    if batch == 0 {
-        for ev in events {
-            e.inject_event(NodeId(0), ev);
-            e.flush();
-        }
-    } else {
-        for chunk in events.chunks(batch) {
-            e.inject_events(NodeId(0), chunk.to_vec());
-            e.flush();
-        }
-    }
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    (n_events as f64 / elapsed, e.deliveries().clone())
-}
-
-/// EXT-7: matching-core throughput — the batched arrangement path against
-/// the event-at-a-time linear-scan baseline as the operator count per node
-/// grows. Both legs run the same deterministic operator set and reading
-/// stream on every engine; the `log equal` column gates the arrangement
-/// path's [`fsf_network::DeliveryLog`] event-for-event against the scan
-/// oracle, so the throughput numbers only count if the semantics came out
-/// identical. Wall-clock events/sec is machine-dependent; the equality
-/// column is deterministic. The compare gate keys on the
-/// `events/sec at max ops` record (the largest operator count).
-#[must_use]
-pub fn ext7_matching(scale: f64) -> (String, Vec<crate::json::JsonRecord>) {
-    let (op_counts, n_events, batch): (&[usize], usize, usize) = if scale >= 1.0 {
-        (&[100, 1_000, 10_000], 512, 16)
-    } else {
-        (&[40, 160], 96, 8)
-    };
-    let mut out = String::from(
-        "== ext7 — matching-core throughput vs operator count ==\n\
-         (scan ev/s: event-at-a-time linear scan; arr ev/s: batched \
-         arrangement; equal gates the delivery logs)\n",
-    );
-    out.push_str(&format!(
-        "{:<34} {:>8} {:>12} {:>12} {:>8} {:>6}\n",
-        "approach", "ops", "scan ev/s", "arr ev/s", "speedup", "equal"
-    ));
-    let mut records = Vec::new();
-    let max_ops = *op_counts.last().expect("non-empty sweep");
-    for kind in EngineKind::ALL {
-        for &n_ops in op_counts {
-            let (scan_eps, scan_log) =
-                ext7_run(kind, fsf_engines::MatchMode::LinearScan, n_ops, n_events, 0);
-            let (arr_eps, arr_log) = ext7_run(
-                kind,
-                fsf_engines::MatchMode::Arrangement,
-                n_ops,
-                n_events,
-                batch,
-            );
-            let equal = scan_log == arr_log;
-            let speedup = if scan_eps > 0.0 {
-                arr_eps / scan_eps
-            } else {
-                0.0
-            };
-            out.push_str(&format!(
-                "{:<34} {:>8} {:>12.0} {:>12.0} {:>7.2}x {:>6}\n",
-                kind.name(),
-                n_ops,
-                scan_eps,
-                arr_eps,
-                speedup,
-                if equal { "yes" } else { "DIFF" },
-            ));
-            for (metric, value) in [
-                (format!("events/sec @ {n_ops} ops (scan)"), scan_eps),
-                (format!("events/sec @ {n_ops} ops (arrangement)"), arr_eps),
-                (format!("speedup @ {n_ops} ops"), speedup),
-                (
-                    format!("log equal @ {n_ops} ops"),
-                    if equal { 1.0 } else { 0.0 },
-                ),
-            ] {
-                records.push(crate::json::JsonRecord::new(
-                    "ext7",
-                    kind.name(),
-                    &metric,
-                    value,
-                ));
-            }
-            if n_ops == max_ops {
-                records.push(crate::json::JsonRecord::new(
-                    "ext7",
-                    kind.name(),
-                    "events/sec at max ops",
-                    arr_eps,
-                ));
-            }
-        }
-    }
-    (out, records)
-}
-
-/// EXT-8: recall during and after a **network partition** — what a split
-/// costs each engine and what the heal reconciliation restores. A seeded
-/// partition plan cuts the tree edge that splits most evenly, publishes
-/// through the split, heals, and publishes again; every engine runs next
-/// to its never-partitioned connected twin and is judged by the
-/// reachability oracle. `recall connected subs` = 1.0 means both halves
-/// kept serving everything they could reach; `recall split-only loss` =
-/// 1.0 means the severed subscriptions lost *only* split-window readings
-/// (post-heal traffic flows again, nothing spurious, nothing missing).
-#[must_use]
-pub fn ext8_partition(scale: f64) -> (String, Vec<crate::json::JsonRecord>) {
-    let config = if scale < 1.0 {
-        fsf_workload::PartitionConfig::paper_scale().scaled(scale)
-    } else {
-        fsf_workload::PartitionConfig::paper_scale()
-    };
-    let rows = fsf_workload::run_partition(&config);
-    let mut out = format!(
-        "== ext8 — recall during and after a partition ({}, {} nodes, \
-         {} readings/window) ==\n",
-        config.name, config.total_nodes, config.plan.events_per_phase
-    );
-    out.push_str(&format!(
-        "{:<34} {:>8} {:>10} {:>10} {:>8} {:>10} {:>11} {:>9}\n",
-        "approach", "dropped", "delivered", "twin", "recall", "connected", "split-only", "teardown"
-    ));
-    let mut records = Vec::new();
-    for r in &rows {
-        out.push_str(&format!(
-            "{:<34} {:>8} {:>10} {:>10} {:>8.4} {:>10} {:>11} {:>9}\n",
-            r.engine.name(),
-            r.dropped_severed,
-            r.delivered_units,
-            r.twin_units,
-            r.recall_vs_twin,
-            if r.connected_equal { "equal" } else { "DIFF" },
-            if r.lost_in_split_only {
-                "exact"
-            } else {
-                "LEAKED"
-            },
-            if r.teardown_clean { "clean" } else { "LEAKED" },
-        ));
-        let name = r.engine.name();
-        for (metric, value) in [
-            ("dropped at severed links", r.dropped_severed as f64),
-            ("delivered units", r.delivered_units as f64),
-            ("twin units", r.twin_units as f64),
-            ("recall vs connected twin", r.recall_vs_twin),
-            (
-                "recall connected subs",
-                if r.connected_equal { 1.0 } else { 0.0 },
-            ),
-            (
-                "recall split-only loss",
-                if r.lost_in_split_only { 1.0 } else { 0.0 },
-            ),
-            ("teardown clean", if r.teardown_clean { 1.0 } else { 0.0 }),
-        ] {
-            records.push(crate::json::JsonRecord::new("ext8", name, metric, value));
-        }
-    }
-    (out, records)
-}
-
 /// Table II: the implemented-approaches matrix.
 #[must_use]
 pub fn table2() -> String {
@@ -826,229 +245,6 @@ mod tests {
             !t.contains("set filtering: NOT covered\n  => "),
             "set filter must succeed"
         );
-    }
-
-    #[test]
-    fn ext2_reports_all_distributed_engines_with_clean_teardown() {
-        let (table, records) = ext2_churn(0.2);
-        for kind in EngineKind::DISTRIBUTED {
-            assert!(table.contains(kind.name()), "missing {kind}:\n{table}");
-        }
-        assert!(!table.contains("LEAKED"), "teardown leaked:\n{table}");
-        assert_eq!(records.len(), 4 * 5, "engine × metric grid");
-        let naive_recall = records
-            .iter()
-            .find(|r| r.engine == "Naive approach" && r.metric == "recall vs exact")
-            .unwrap();
-        assert!((naive_recall.value - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ext3_reports_latency_percentiles_for_all_five_engines() {
-        let (table, records) = ext3_latency(0.2);
-        for kind in EngineKind::ALL {
-            assert!(table.contains(kind.name()), "missing {kind}:\n{table}");
-        }
-        assert_eq!(records.len(), 5 * 7, "engine × metric grid");
-        for kind in EngineKind::ALL {
-            let metric = |m: &str| {
-                records
-                    .iter()
-                    .find(|r| r.engine == kind.name() && r.metric == m)
-                    .unwrap_or_else(|| panic!("{kind}: missing {m}"))
-                    .value
-            };
-            let p95 = metric("latency p95");
-            let p99 = metric("latency p99");
-            let max = metric("latency max");
-            assert!(p95 > 0.0, "{kind}: zero p95 under nonzero latency");
-            assert!(p99 >= p95, "{kind}: p99 {p99} below p95 {p95}");
-            assert!(max >= p99, "{kind}: max {max} below p99 {p99}");
-            assert!(metric("latency mean") > 0.0, "{kind}: zero mean");
-        }
-    }
-
-    #[test]
-    fn ext4_shows_recovery_restoring_recall_and_round_trips_json() {
-        let (table, records) = ext4_recovery(0.25);
-        for kind in EngineKind::ALL {
-            assert!(table.contains(kind.name()), "missing {kind}:\n{table}");
-        }
-        assert_eq!(records.len(), 5 * 6, "engine × metric grid");
-        for kind in EngineKind::ALL {
-            let metric = |m: &str| {
-                records
-                    .iter()
-                    .find(|r| r.engine == kind.name() && r.metric == m)
-                    .unwrap_or_else(|| panic!("{kind}: missing {m}"))
-                    .value
-            };
-            let post = metric("recall post-recovery");
-            if kind == EngineKind::FilterSplitForward {
-                assert!(post > 0.8, "{kind}: post-recovery recall {post}");
-            } else {
-                assert!(
-                    (post - 1.0).abs() < 1e-12,
-                    "{kind}: recovery did not restore recall: {post}"
-                );
-            }
-        }
-        // the records survive the writer/parser round trip bit-exactly
-        let doc = crate::json::to_json(0.25, &records);
-        let (scale, parsed) = crate::json::parse(&doc).expect("well-formed");
-        assert_eq!(scale, 0.25);
-        assert_eq!(parsed, records);
-    }
-
-    #[test]
-    fn ext5_reports_twin_exact_mobility_and_round_trips_json() {
-        let (table, records) = ext5_mobility(0.4);
-        for kind in EngineKind::ALL {
-            assert!(table.contains(kind.name()), "missing {kind}:\n{table}");
-        }
-        assert!(!table.contains("LEAKED"), "teardown leaked:\n{table}");
-        assert_eq!(records.len(), 5 * 7, "engine × metric grid");
-        for kind in EngineKind::ALL {
-            let metric = |m: &str| {
-                records
-                    .iter()
-                    .find(|r| r.engine == kind.name() && r.metric == m)
-                    .unwrap_or_else(|| panic!("{kind}: missing {m}"))
-                    .value
-            };
-            let recall = metric("recall vs stationary twin");
-            if kind == EngineKind::FilterSplitForward {
-                // probabilistic set filter: banded, not twin-exact (the
-                // twin's renamed ids draw different coverage decisions)
-                assert!(
-                    (0.8..=1.25).contains(&recall),
-                    "{kind}: twin recall {recall} out of band"
-                );
-            } else {
-                assert!(
-                    (recall - 1.0).abs() < 1e-12,
-                    "{kind}: mobile run diverged from its twin"
-                );
-                assert!(metric("twin equal") > 0.5, "{kind}: twin not equal");
-            }
-            assert!(metric("handoff per move") > 0.0, "{kind}: free handoff");
-        }
-        // the records survive the writer/parser round trip bit-exactly
-        let doc = crate::json::to_json(0.4, &records);
-        let (scale, parsed) = crate::json::parse(&doc).expect("well-formed");
-        assert_eq!(scale, 0.4);
-        assert_eq!(parsed, records);
-    }
-
-    #[test]
-    fn ext6_gates_every_shard_count_on_the_oracle() {
-        let (table, records) = ext6_scale(0.2);
-        assert!(!table.contains("DIFF"), "shard divergence:\n{table}");
-        assert!(!table.contains("BROKEN"), "conservation broke:\n{table}");
-        // 2 sizes × 3 shard counts × 6 metrics at reduced scale
-        assert_eq!(records.len(), 2 * 3 * 6, "size × shards × metric grid");
-        for r in &records {
-            if r.metric == "recall vs single shard" {
-                assert!((r.value - 1.0).abs() < 1e-12, "{}: diverged", r.engine);
-            }
-        }
-        // the multi-shard rows actually carved
-        let carved = records
-            .iter()
-            .filter(|r| r.metric == "effective shards" && r.value > 1.5)
-            .count();
-        assert!(carved >= 2, "partitioner never carved:\n{table}");
-        // the records survive the writer/parser round trip bit-exactly
-        let doc = crate::json::to_json(0.2, &records);
-        let (scale, parsed) = crate::json::parse(&doc).expect("well-formed");
-        assert_eq!(scale, 0.2);
-        assert_eq!(parsed, records);
-    }
-
-    #[test]
-    fn ext7_gates_the_arrangement_on_the_scan_oracle() {
-        let (table, records) = ext7_matching(0.2);
-        assert!(!table.contains("DIFF"), "delivery logs diverged:\n{table}");
-        // 5 engines × 2 op counts × 4 metrics, plus the gated record per engine
-        assert_eq!(records.len(), 5 * 2 * 4 + 5, "engine × ops × metric grid");
-        for kind in EngineKind::ALL {
-            assert!(
-                records
-                    .iter()
-                    .any(|r| r.engine == kind.name() && r.metric == "events/sec at max ops"),
-                "{} missing the gated throughput record",
-                kind.name()
-            );
-        }
-        for r in &records {
-            if r.metric.starts_with("log equal") {
-                assert!(
-                    (r.value - 1.0).abs() < 1e-12,
-                    "{}: arrangement diverged from the scan oracle ({})",
-                    r.engine,
-                    r.metric
-                );
-            }
-        }
-        // the records survive the writer/parser round trip bit-exactly
-        let doc = crate::json::to_json(0.2, &records);
-        let (scale, parsed) = crate::json::parse(&doc).expect("well-formed");
-        assert_eq!(scale, 0.2);
-        assert_eq!(parsed, records);
-    }
-
-    #[test]
-    fn ext8_gates_partition_recall_and_round_trips_json() {
-        let (table, records) = ext8_partition(0.5);
-        for kind in EngineKind::ALL {
-            assert!(table.contains(kind.name()), "missing {kind}:\n{table}");
-        }
-        assert!(!table.contains("DIFF"), "connected subs diverged:\n{table}");
-        assert!(
-            !table.contains("LEAKED"),
-            "split loss or teardown:\n{table}"
-        );
-        assert_eq!(records.len(), 5 * 7, "engine × metric grid");
-        for kind in EngineKind::ALL {
-            for gated in ["recall connected subs", "recall split-only loss"] {
-                let r = records
-                    .iter()
-                    .find(|r| r.engine == kind.name() && r.metric == gated)
-                    .unwrap_or_else(|| panic!("{} missing {gated}", kind.name()));
-                assert!((r.value - 1.0).abs() < 1e-12, "{}: {gated}", kind.name());
-            }
-            let dropped = records
-                .iter()
-                .find(|r| r.engine == kind.name() && r.metric == "dropped at severed links")
-                .unwrap();
-            assert!(dropped.value > 0.0, "{}: free partition?", kind.name());
-        }
-        let doc = crate::json::to_json(0.5, &records);
-        let (scale, parsed) = crate::json::parse(&doc).expect("well-formed");
-        assert_eq!(scale, 0.5);
-        assert_eq!(parsed, records);
-    }
-
-    #[test]
-    fn empty_latency_summaries_emit_no_percentile_records() {
-        use fsf_network::LatencySummary;
-        let empty = latency_records("extX", "Naive approach", &LatencySummary::default());
-        assert_eq!(empty.len(), 1, "only the sample count: {empty:?}");
-        assert_eq!(empty[0].metric, "latency samples");
-        assert_eq!(empty[0].value, 0.0);
-        let full = latency_records(
-            "extX",
-            "Naive approach",
-            &LatencySummary::from_samples(&[3, 5, 9]),
-        );
-        assert_eq!(full.len(), 6, "samples + five distribution records");
-        assert!(full.iter().any(|r| r.metric == "latency p99"));
-        // the compare gate sees a missing percentile as drift, not a
-        // regression — the S3 contract this helper exists for
-        let report =
-            crate::compare::compare(&full, &empty, &crate::compare::CompareConfig::default());
-        assert!(report.passed(), "{:?}", report.regressions);
-        assert!(!report.notes.is_empty());
     }
 
     #[test]

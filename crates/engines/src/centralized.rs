@@ -323,7 +323,7 @@ impl NodeBehavior for CentralNode {
             CentralMsg::Move(sensor) | CentralMsg::MoveToCenter(sensor) => {
                 // the handoff's only centre-side effect is the fresh
                 // correlation epoch (event-store GC); charged in the
-                // handoff class so ext5 can bill the per-move cost
+                // handoff class so the per-move cost is billed apart
                 self.toward_center(
                     ChargeKind::Handoff,
                     || CentralMsg::MoveToCenter(sensor),

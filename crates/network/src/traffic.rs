@@ -33,8 +33,9 @@ pub enum ChargeKind {
     /// Sensor-mobility control traffic: the generation-tagged `Move`
     /// re-advertisement flood a station emits when a known sensor id
     /// re-appears at a new node. Reported separately so the per-move
-    /// handoff bill is visible (the `ext5` table); the operator re-splits a
-    /// move triggers stay in the `Subscription` class, like any forward.
+    /// handoff bill is visible (the golden ledger's `handoff` column); the
+    /// operator re-splits a move triggers stay in the `Subscription` class,
+    /// like any forward.
     Handoff,
     /// Heartbeat failure-detector traffic (ping/pong). Reported separately
     /// so the liveness layer's standing cost is visible next to the
@@ -207,7 +208,7 @@ impl TrafficStats {
 
     /// Total mobility handoff (`Move` re-advertisement) messages — the
     /// control cost of sensor re-advertisement re-routing, reported per
-    /// move in the `ext5` table.
+    /// move by `Engine::mobility_stats`.
     #[must_use]
     pub fn handoff_msgs(&self) -> u64 {
         self.by_kind(ChargeKind::Handoff)

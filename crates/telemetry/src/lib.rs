@@ -311,8 +311,7 @@ impl TelemetryEvent {
 ///
 /// The hooks guard every call site with `if S::ENABLED { … }` on the
 /// associated const, so with the [`Noop`] sink the branch — and the event
-/// construction behind it — is statically dead and compiles out; the
-/// criterion scheduler bench holds the disabled overhead at zero.
+/// construction behind it — is statically dead and compiles out.
 pub trait TelemetrySink: Clone + Send + Sync + 'static {
     /// Whether this sink records anything. Hook sites skip event
     /// construction entirely when `false`.

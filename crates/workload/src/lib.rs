@@ -23,41 +23,27 @@
 //! * [`driver`] — runs any [`fsf_engines::Engine`] over a workload and
 //!   produces per-batch measurement points (subscription load, event load,
 //!   recall);
-//! * [`churn`] — the dynamic counterpart: replays a seeded
-//!   [`fsf_dynamics::ChurnPlan`] (subscribe/unsubscribe, sensor up/down,
-//!   full teardown) and measures recall and traffic under churn;
-//! * [`mobility`] — the sensor-mobility scenario: an id-reusing churn
-//!   plan with `Move` handoffs, replayed next to its stationary twin to
-//!   measure the handoff message bill and twin-exact recall;
-//! * [`scale`] — the throughput scenario: relay floods and station
-//!   workloads over trees up to a million nodes, swept across event-queue
-//!   shard counts and gated on delivery equality with the single-shard
-//!   oracle.
+//! * [`flood`] — [`RelayFlood`], a raw relay flood over the bare node
+//!   substrate that measures the event queue alone.
+//!
+//! The dynamic scenarios (churn, crash recovery, mobility, partitions) are
+//! [`fsf_dynamics::ChurnPlan`]s; their costs are pinned per engine by the
+//! facade crate's golden ledger test (`tests/golden_ledger.rs`).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod churn;
 pub mod driver;
-pub mod mobility;
+pub mod flood;
 pub mod oracle;
 pub mod pareto;
-pub mod partition;
-pub mod recovery;
 pub mod results;
-pub mod scale;
 pub mod scenario;
 pub mod sensorscope;
-pub mod timed;
 pub mod workload;
 
-pub use churn::{run_churn, ChurnConfig, ChurnRow};
 pub use driver::run_engine;
-pub use mobility::{run_mobility, MobilityConfig, MobilityRow};
-pub use partition::{run_partition, PartitionConfig, PartitionRow};
-pub use recovery::{run_recovery, RecoveryConfig, RecoveryRow};
+pub use flood::RelayFlood;
 pub use results::{BatchPoint, ExperimentResult};
-pub use scale::{run_scale, RelayFlood, ScaleConfig, ScaleRow};
 pub use scenario::ScenarioConfig;
-pub use timed::{run_timed, TimedConfig, TimedRow};
 pub use workload::Workload;

@@ -173,7 +173,8 @@ impl EventStore {
         self.stored_in(t.minus(reach), t.plus(reach))
     }
 
-    /// [`Self::band`], unfiltered, as a vector.
+    /// All stored entries within strict `δt` of `t`, unfiltered, as a
+    /// vector, in timestamp, then insertion order.
     #[must_use]
     pub fn correlation_band(&self, t: Timestamp, delta_t: u64) -> Vec<&Stored> {
         self.band(t, delta_t).collect()

@@ -22,8 +22,14 @@
 //!
 //! Module map:
 //!
+//! * [`msg`] — [`Msg`], the one message enum of every advertisement-flooding
+//!   engine, generic over the operator it forwards and the key it withdraws
+//!   by ([`PubSubMsg`] here, `MjMsg` in `fsf-engines`);
 //! * [`store`] — per-neighbor state of Fig. 2: `DSA_m` advertisement stores
-//!   and `S_m` subscription stores (covered/uncovered);
+//!   and `S_m` subscription stores (covered/uncovered). [`AdvStore`] is
+//!   also the advertisement plane: Algorithm 1's flood and the
+//!   generation-ordered retraction, move, repair and heal handlers, written
+//!   once for both engine families;
 //! * [`events`] — the timestamp-indexed event store `U` with validity-based
 //!   expiry and `sendTo` flags (per link, per operator-stream, or per local
 //!   subscription), and the [`events::Correlator`] every engine matches
@@ -39,14 +45,16 @@
 #![warn(clippy::all)]
 
 pub mod events;
+pub mod msg;
 pub mod node;
 pub mod ranking;
 pub mod store;
 
 pub use events::{EventStore, SentScope};
+pub use msg::Msg;
 pub use node::{DedupMode, PubSubConfig, PubSubMsg, PubSubNode, StorageStats};
 pub use ranking::RankPolicy;
-pub use store::{AdvStore, Origin, SubStore};
+pub use store::{AdvStore, Origin, Resplit, SubStore};
 
 // Re-export the policy types callers configure nodes with.
 pub use fsf_subsumption::{FilterPolicy, SetFilterConfig};

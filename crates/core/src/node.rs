@@ -3,7 +3,8 @@
 //! [`PubSubNode`] implements the full Filter-Split-Forward pipeline:
 //!
 //! * **Advertisement propagation** (Algorithm 1): flooding with per-sensor
-//!   idempotence, storing `DSA_m` per origin;
+//!   idempotence, storing `DSA_m` per origin — the advertisement plane on
+//!   [`AdvStore`], shared with the multi-join engine;
 //! * **Subscription propagation** (Algorithms 2–4): filter the incoming
 //!   operator against the same-origin, same-signature uncovered set
 //!   (`filter(s, 𝒮)` — policy-configurable), then *split and forward*:
@@ -17,9 +18,10 @@
 //!   "per subscription" result sets).
 
 use crate::events::{recycle, Correlator, EventStore, LinkFrame, SentScope};
+use crate::msg::Msg;
 use crate::ranking::RankPolicy;
-use crate::store::{AdvStore, AdvUpdate, Origin, SubStore};
-use fsf_model::{Advertisement, DimKey, Event, Operator, Subscription};
+use crate::store::{AdvStore, Origin, Resplit, SubStore};
+use fsf_model::{DimKey, Event, Operator};
 use fsf_network::{ChargeKind, Ctx, NodeBehavior, NodeId};
 use fsf_subsumption::{FilterPolicy, MatchMode, SubscriptionFilter};
 use std::collections::BTreeMap;
@@ -107,66 +109,9 @@ impl PubSubConfig {
     }
 }
 
-/// Wire messages of the pub/sub engines.
-///
-/// `SensorUp`, `Subscribe` and `Publish` are *local injections* (the
-/// workload acting as local sensors/users); `Adv`, `Operator` and `Events`
-/// travel between nodes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PubSubMsg {
-    /// A sensor appears at this node (Algorithm 1, lines 2–7).
-    SensorUp(Advertisement),
-    /// A flooded advertisement from a neighbor (Algorithm 1, lines 8–13).
-    Adv(Advertisement),
-    /// A local sensor departs: retract its advertisement, garbage-collect
-    /// its stored events, and withdraw the operator projections that relied
-    /// on it (the churn counterpart of `SensorUp`).
-    SensorDown(fsf_model::SensorId),
-    /// A flooded advertisement retraction from a neighbor — retraces the
-    /// `Adv` flood with the same idempotence. The generation is the one the
-    /// retraction *retired*: the retraction host bumps its known generation
-    /// by one, so the flood is ordered against concurrent `Move` floods — a
-    /// retraction straggler cannot wipe a route a newer `Move` established,
-    /// and a `Move` straggler cannot resurrect a newer retraction.
-    AdvDown(fsf_model::SensorId, u64),
-    /// A crash-recovery advertisement re-flood, carrying the sensor's
-    /// advertisement generation. Unlike `Adv`, repair floods are **not**
-    /// absorbed by the seen-set: they traverse the whole tree (structural
-    /// termination — a tree flood that never returns toward its sender
-    /// cannot loop), re-homing the advertisement's origin where the regraft
-    /// changed the path toward the station and triggering the operator
-    /// re-split toward the repaired direction. The generation keeps repair
-    /// and mobility floods ordered: a stale repair cannot resurrect a route
-    /// superseded by a later `Move`, and a repair carrying a generation the
-    /// node never saw replays the move it missed.
-    AdvRepair(Advertisement, u64),
-    /// A sensor-mobility handoff: a **known** sensor id re-appeared at a
-    /// new host station, which floods this generation-tagged
-    /// re-advertisement over the whole tree. Nodes whose path toward the
-    /// sensor changed re-home the advertisement origin, retract routing
-    /// state along the old recorded path, and re-split uncovered operators
-    /// toward the new path; nodes whose path is unchanged keep everything
-    /// pinned (only the uncovered frontier migrates). The generation makes
-    /// the flood idempotent and lets it race — and beat — the sensor's own
-    /// original advertisement flood.
-    Move(Advertisement, u64),
-    /// A local user registers a subscription (Algorithm 4, `n == m`).
-    Subscribe(Subscription),
-    /// A correlation operator forwarded by a neighbor.
-    Operator(Operator),
-    /// A local user cancels a subscription ("subscriptions are expected to
-    /// be valid until explicitly removed", §IV-B).
-    Unsubscribe(fsf_model::SubId),
-    /// A correlation operator withdrawn by a neighbor: removals retrace the
-    /// operator's forwarding paths.
-    RemoveOperator(fsf_model::OperatorKey),
-    /// A local sensor publishes a reading (Algorithm 5, `n == m`).
-    Publish(Event),
-    /// Simple events forwarded by a neighbor. The charge units on the link
-    /// may exceed `events.len()` under [`DedupMode::PerOperator`], where the
-    /// same event is billed once per operator stream.
-    Events(Vec<Event>),
-}
+/// Wire messages of the pub/sub engines: the shared [`Msg`] carrying
+/// correlation operators, withdrawn one projection at a time by key.
+pub type PubSubMsg = Msg<Operator, fsf_model::OperatorKey>;
 
 /// A node's storage footprint (the paper's Fig. 2 data structures).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -210,10 +155,6 @@ pub struct PubSubNode {
     /// picture changed (sensor churn).
     routes: BTreeMap<(Origin, fsf_model::OperatorKey), BTreeMap<NodeId, fsf_model::OperatorKey>>,
     dropped_unanswerable: u64,
-    /// Latest virtual time observed through [`fsf_network::Ctx::now`] —
-    /// the node's local view of the discrete-event clock (monotone; stays
-    /// 0 under zero-latency / wall-clock executors).
-    clock: u64,
     /// The match path's buffers, parked empty between events: allocated
     /// once, at the first (most nodes of a wide tree never see one).
     scratch: Option<Box<(Correlator<'static>, Vec<&'static Operator>)>>,
@@ -236,7 +177,6 @@ impl PubSubNode {
             events: EventStore::new(config.event_validity),
             routes: BTreeMap::new(),
             dropped_unanswerable: 0,
-            clock: 0,
             scratch: None,
         }
     }
@@ -269,14 +209,6 @@ impl PubSubNode {
     #[must_use]
     pub fn events(&self) -> &EventStore {
         &self.events
-    }
-
-    /// The node's view of the virtual clock: the `deliver_at` tick of the
-    /// last message it handled (0 before any traffic, and permanently 0
-    /// under executors without a virtual clock).
-    #[must_use]
-    pub fn clock(&self) -> u64 {
-        self.clock
     }
 
     /// Locally injected subscriptions dropped because some dimension had no
@@ -345,24 +277,6 @@ impl PubSubNode {
             }
         }
         out
-    }
-
-    // ----- Algorithm 1: advertisement propagation -----
-
-    fn handle_advertisement(
-        &mut self,
-        origin: Origin,
-        adv: Advertisement,
-        ctx: &mut Ctx<'_, PubSubMsg>,
-    ) {
-        if !self.adverts.insert(origin, adv) {
-            return; // duplicate — flooding is idempotent
-        }
-        for &j in ctx.neighbors().to_vec().iter() {
-            if Origin::Neighbor(j) != origin {
-                ctx.send(j, PubSubMsg::Adv(adv), ChargeKind::Advertisement, 1);
-            }
-        }
     }
 
     // ----- Algorithms 2–4: filter, split, forward -----
@@ -465,21 +379,8 @@ impl PubSubNode {
             return;
         };
 
-        // (a) retrace the recorded forwarding paths with removal messages;
-        // a target that is no longer a neighbor crashed out of the topology,
-        // so its copy is unreachable (and dead with it).
-        if let Some(targets) = self.routes.remove(&(origin, key.clone())) {
-            for (j, projected_key) in targets {
-                if ctx.neighbors().binary_search(&j).is_ok() {
-                    ctx.send(
-                        j,
-                        PubSubMsg::RemoveOperator(projected_key),
-                        ChargeKind::Subscription,
-                        1,
-                    );
-                }
-            }
-        }
+        // (a) retrace the recorded forwarding paths with removal messages
+        self.retrace(origin, key.clone(), None, ctx);
 
         // (b) promote covered operators that lost their cover
         let candidates: Vec<fsf_model::OperatorKey> = self.subs[&origin]
@@ -506,16 +407,32 @@ impl PubSubNode {
         }
     }
 
+    /// Withdraw one uncovered operator's recorded projections: a removal
+    /// message along every recorded route, except toward `skip` (a crashed
+    /// neighbor, whose copy died with it). A target that is no longer a
+    /// neighbor crashed out of the topology, so its copy is unreachable
+    /// (and dead with it).
+    fn retrace(
+        &mut self,
+        origin: Origin,
+        key: fsf_model::OperatorKey,
+        skip: Option<NodeId>,
+        ctx: &mut Ctx<'_, PubSubMsg>,
+    ) {
+        for (j, projected) in self.routes.remove(&(origin, key)).into_iter().flatten() {
+            if Some(j) != skip && ctx.neighbors().binary_search(&j).is_ok() {
+                let msg = PubSubMsg::RemoveOperator(projected);
+                ctx.send(j, msg, ChargeKind::Subscription, 1);
+            }
+        }
+    }
+
     // ----- sensor departure (churn counterpart of Algorithm 1) -----
 
-    /// A sensor departed: retract its advertisement, retrace the flood, drop
-    /// its stored events, and withdraw (or narrow) the operator projections
-    /// that were routed over the retracting advertisement path. A retraction
-    /// is itself a **generation event**: the local injection (`gen` =
-    /// `None`) retires the host's known generation by bumping it, and the
-    /// flood carries that number — so a retraction straggler arriving after
-    /// a newer `Move` is absorbed instead of wiping the new route, and the
-    /// generation tombstone left behind absorbs any older `Move` straggler.
+    /// A sensor departed: retract its advertisement and retrace the flood
+    /// ([`AdvStore::retract`]), drop its stored events, and withdraw (or
+    /// narrow) the operator projections that were routed over the
+    /// retracting advertisement path.
     fn handle_sensor_down(
         &mut self,
         origin: Origin,
@@ -523,25 +440,9 @@ impl PubSubNode {
         gen: Option<u64>,
         ctx: &mut Ctx<'_, PubSubMsg>,
     ) {
-        let known = self.adverts.generation(sensor);
-        let gen = gen.unwrap_or(known + 1);
-        if gen < known {
-            return; // a newer Move superseded this retraction — absorb
-        }
-        let Some(adv_origin) = self.adverts.remove(sensor) else {
-            return; // unknown sensor — retraction flooding is idempotent
+        let Some(adv_origin) = self.adverts.retract(origin, sensor, gen, ctx) else {
+            return;
         };
-        self.adverts.note_generation(sensor, gen);
-        for &j in ctx.neighbors().to_vec().iter() {
-            if Origin::Neighbor(j) != origin {
-                ctx.send(
-                    j,
-                    PubSubMsg::AdvDown(sensor, gen),
-                    ChargeKind::Advertisement,
-                    1,
-                );
-            }
-        }
         self.events.remove_sensor(sensor);
         if let Origin::Neighbor(j) = adv_origin {
             self.resplit_toward(j, ctx);
@@ -630,78 +531,18 @@ impl PubSubNode {
         }
     }
 
-    // ----- sensor mobility (re-advertisement re-routing) -----
+    // ----- sensor mobility and crash repair -----
 
-    /// Re-route after an advertisement origin change: retract along the old
-    /// recorded direction (if it is a live link), then re-split toward the
-    /// new one. Covered operators stay covered — [`Self::resplit_toward`]
-    /// only reconciles the uncovered set's projections — and unchanged
-    /// projections are never re-sent, so the migration is idempotent.
-    fn reroute(&mut self, update: AdvUpdate, new_origin: Origin, ctx: &mut Ctx<'_, PubSubMsg>) {
-        if let AdvUpdate::Moved {
-            old: Origin::Neighbor(o),
-        } = update
-        {
-            self.resplit_toward(o, ctx);
+    /// Re-split toward the directions a `Move` or `AdvRepair` flood re-homed
+    /// an advertisement between: retract along the old recorded direction
+    /// (if it is a live link), then forward along the new one. Covered
+    /// operators stay covered — [`Self::resplit_toward`] only reconciles the
+    /// uncovered set's projections — and unchanged projections are never
+    /// re-sent, so the migration is idempotent.
+    fn reroute(&mut self, toward: Resplit, ctx: &mut Ctx<'_, PubSubMsg>) {
+        for j in toward.into_iter().flatten() {
+            self.resplit_toward(j, ctx);
         }
-        if matches!(update, AdvUpdate::Moved { .. } | AdvUpdate::Inserted) {
-            if let Origin::Neighbor(n) = new_origin {
-                self.resplit_toward(n, ctx);
-            }
-        }
-    }
-
-    /// A generation-tagged `Move` re-advertisement arrived: a known sensor
-    /// id re-appeared at a new host. Supersede the stored advertisement,
-    /// flood onward structurally (the generation check is the cross-flood
-    /// terminator), and re-route the uncovered operators.
-    fn handle_move(
-        &mut self,
-        origin: Origin,
-        adv: Advertisement,
-        gen: u64,
-        ctx: &mut Ctx<'_, PubSubMsg>,
-    ) {
-        let update = self.adverts.apply_move(origin, adv, gen);
-        if update == AdvUpdate::Stale {
-            return; // absorb: a stale flood cannot resurrect the old route
-        }
-        for &j in ctx.neighbors().to_vec().iter() {
-            if Origin::Neighbor(j) != origin {
-                ctx.send(j, PubSubMsg::Move(adv, gen), ChargeKind::Handoff, 1);
-            }
-        }
-        // A handoff opens a fresh correlation epoch for the sensor: its
-        // readings from the old location are dropped exactly as a
-        // retraction would drop them, so a moved run stores the same events
-        // as its stationary twin (retire at the old host, fresh id at the
-        // new one) and no correlation window straddles the move.
-        self.events.remove_sensor(adv.sensor);
-        self.reroute(update, origin, ctx);
-    }
-
-    // ----- crash recovery (the regraft counterpart of Algorithm 1) -----
-
-    /// A crash-recovery advertisement re-flood arrived: fill the hole or
-    /// re-home the origin if the repaired tree reaches the station through
-    /// a different neighbor, propagate the flood structurally, and re-split
-    /// stored operators toward the repaired direction. The generation
-    /// ordering against mobility lives in [`AdvStore::apply_repair`],
-    /// shared with the multi-join engine.
-    fn handle_adv_repair(
-        &mut self,
-        origin: Origin,
-        adv: Advertisement,
-        gen: u64,
-        ctx: &mut Ctx<'_, PubSubMsg>,
-    ) {
-        let update = self.adverts.apply_repair(origin, adv, gen);
-        for &n in ctx.neighbors().to_vec().iter() {
-            if Origin::Neighbor(n) != origin {
-                ctx.send(n, PubSubMsg::AdvRepair(adv, gen), ChargeKind::Recovery, 1);
-            }
-        }
-        self.reroute(update, origin, ctx);
     }
 
     /// Purge every trace of a crashed neighbor: its interest slot (covered
@@ -716,19 +557,7 @@ impl PubSubNode {
         let origin = Origin::Neighbor(crashed);
         if let Some(store) = self.subs.remove(&origin) {
             for parent in store.uncovered.iter() {
-                let Some(targets) = self.routes.remove(&(origin, parent.key())) else {
-                    continue;
-                };
-                for (j, projected) in targets {
-                    if j != crashed && ctx.neighbors().binary_search(&j).is_ok() {
-                        ctx.send(
-                            j,
-                            PubSubMsg::RemoveOperator(projected),
-                            ChargeKind::Subscription,
-                            1,
-                        );
-                    }
-                }
+                self.retrace(origin, parent.key(), Some(crashed), ctx);
             }
         }
         self.routes.retain(|_, targets| {
@@ -861,7 +690,6 @@ impl NodeBehavior for PubSubNode {
     type Msg = PubSubMsg;
 
     fn on_message(&mut self, from: NodeId, msg: PubSubMsg, ctx: &mut Ctx<'_, PubSubMsg>) {
-        self.clock = self.clock.max(ctx.now());
         let origin = if from == ctx.node() {
             Origin::Local
         } else {
@@ -870,9 +698,9 @@ impl NodeBehavior for PubSubNode {
         match msg {
             PubSubMsg::SensorUp(adv) => {
                 debug_assert_eq!(origin, Origin::Local, "SensorUp is a local injection");
-                self.handle_advertisement(Origin::Local, adv, ctx);
+                self.adverts.advertise(Origin::Local, adv, ctx);
             }
-            PubSubMsg::Adv(adv) => self.handle_advertisement(origin, adv, ctx),
+            PubSubMsg::Adv(adv) => self.adverts.advertise(origin, adv, ctx),
             PubSubMsg::SensorDown(sensor) => {
                 debug_assert_eq!(origin, Origin::Local, "SensorDown is a local injection");
                 self.handle_sensor_down(Origin::Local, sensor, None, ctx);
@@ -880,8 +708,22 @@ impl NodeBehavior for PubSubNode {
             PubSubMsg::AdvDown(sensor, gen) => {
                 self.handle_sensor_down(origin, sensor, Some(gen), ctx);
             }
-            PubSubMsg::AdvRepair(adv, gen) => self.handle_adv_repair(origin, adv, gen, ctx),
-            PubSubMsg::Move(adv, gen) => self.handle_move(origin, adv, gen, ctx),
+            PubSubMsg::AdvRepair(adv, gen) => {
+                let toward = self.adverts.repair(origin, adv, gen, ctx);
+                self.reroute(toward, ctx);
+            }
+            PubSubMsg::Move(adv, gen) => {
+                if let Some(toward) = self.adverts.relocate(origin, adv, gen, ctx) {
+                    // A handoff opens a fresh correlation epoch for the
+                    // sensor: its readings from the old location are dropped
+                    // exactly as a retraction would drop them, so a moved run
+                    // stores the same events as its stationary twin (retire
+                    // at the old host, fresh id at the new one) and no
+                    // correlation window straddles the move.
+                    self.events.remove_sensor(adv.sensor);
+                    self.reroute(toward, ctx);
+                }
+            }
             PubSubMsg::Subscribe(sub) => {
                 debug_assert_eq!(origin, Origin::Local, "Subscribe is a local injection");
                 self.handle_operator(Origin::Local, Operator::from_subscription(&sub), ctx);
@@ -899,61 +741,25 @@ impl NodeBehavior for PubSubNode {
 
     /// The crash-recovery protocol, node-local part: nodes adjacent to the
     /// crash purge the corpse's per-origin state, and every station
-    /// re-floods its local advertisements over the re-grafted tree (a full
-    /// re-flood; partial-state handoff is a recorded follow-on). The repair
-    /// floods re-home stale origins and drive the operator re-split, so
-    /// subscriber-side projections that had been routed through the dead
-    /// node are re-established — idempotently, because unchanged
-    /// projections are never re-sent and operator delivery dedups by key.
+    /// re-floods its local advertisements ([`AdvStore::reflood_local`]).
+    /// The repair floods re-home stale origins and drive the operator
+    /// re-split, so subscriber-side projections that had been routed
+    /// through the dead node are re-established — idempotently, because
+    /// unchanged projections are never re-sent and operator delivery dedups
+    /// by key.
     fn on_recover(&mut self, delta: &fsf_network::RegraftDelta, ctx: &mut Ctx<'_, PubSubMsg>) {
         if delta.was_neighbor(self.id) {
             self.purge_crashed_origin(delta.crashed, ctx);
         }
-        let local: Vec<Advertisement> = self.adverts.from_origin(Origin::Local).to_vec();
-        for adv in local {
-            let gen = self.adverts.generation(adv.sensor);
-            for &n in ctx.neighbors().to_vec().iter() {
-                ctx.send(n, PubSubMsg::AdvRepair(adv, gen), ChargeKind::Recovery, 1);
-            }
-        }
+        self.adverts.reflood_local(ctx);
     }
 
-    /// A severed link healed: push this half's advertisement picture across
-    /// and force a re-split toward the peer. Retraction tombstones go first
-    /// so a peer that missed an `AdvDown` retires the route instead of
-    /// resurrecting it; then every advertisement this node reaches *not*
-    /// through the peer is re-offered as a generation-tagged repair (highest
-    /// generation wins at the receiver, exactly the crash-repair ordering);
-    /// finally the forced re-split re-sends operator projections whose
-    /// recorded routes were dropped at the severed radio. The peer runs the
-    /// same hook, so the two repair floods converge the divergent halves.
+    /// A severed link healed: offer this half's advertisement picture
+    /// across ([`AdvStore::offer`]), then force a re-split toward the peer,
+    /// which re-sends operator projections whose recorded routes were
+    /// dropped at the severed radio.
     fn on_link_up(&mut self, peer: NodeId, ctx: &mut Ctx<'_, PubSubMsg>) {
-        let tombs: Vec<(fsf_model::SensorId, u64)> = self.adverts.tombstones().collect();
-        for (sensor, gen) in tombs {
-            ctx.send(
-                peer,
-                PubSubMsg::AdvDown(sensor, gen),
-                ChargeKind::Recovery,
-                1,
-            );
-        }
-        let advs: Vec<(Advertisement, u64)> = self
-            .adverts
-            .origins()
-            .filter(|&o| o != Origin::Neighbor(peer))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flat_map(|o| self.adverts.from_origin(o).iter().copied())
-            .map(|a| (a, self.adverts.generation(a.sensor)))
-            .collect();
-        for (adv, gen) in advs {
-            ctx.send(
-                peer,
-                PubSubMsg::AdvRepair(adv, gen),
-                ChargeKind::Recovery,
-                1,
-            );
-        }
+        self.adverts.offer(peer, ctx);
         self.resplit_toward_inner(peer, ctx, true);
     }
 }
@@ -961,7 +767,9 @@ impl NodeBehavior for PubSubNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fsf_model::{AttrId, EventId, Point, SensorId, SubId, Timestamp, ValueRange};
+    use fsf_model::{
+        Advertisement, AttrId, EventId, Point, SensorId, SubId, Subscription, Timestamp, ValueRange,
+    };
     use fsf_network::{builders, Simulator};
 
     const DT: u64 = 30;
@@ -976,27 +784,6 @@ mod tests {
             attr: AttrId(attr),
             location: Point::new(sensor as f64, 0.0),
         }
-    }
-
-    /// The node-local clock mirrors the discrete-event clock: under a
-    /// uniform hop delay each node's `clock()` reads the arrival tick of
-    /// the flood front; under zero latency it stays 0.
-    #[test]
-    fn node_clock_tracks_virtual_arrival_time() {
-        use fsf_network::LatencyModel;
-        let config = PubSubConfig::fsf(60, 42);
-        let mut timed = Simulator::with_latency(
-            builders::line(4),
-            LatencyModel::Uniform { hop: 5 },
-            |id, _| PubSubNode::new(id, config),
-        );
-        timed.inject_and_run(NodeId(0), PubSubMsg::SensorUp(adv(1, 0)));
-        for k in 0..4u64 {
-            assert_eq!(timed.node(NodeId(k as u32)).clock(), 5 * k, "node {k}");
-        }
-        let mut zero = sim(4, config);
-        zero.inject_and_run(NodeId(0), PubSubMsg::SensorUp(adv(1, 0)));
-        assert_eq!(zero.node(NodeId(3)).clock(), 0);
     }
 
     fn sub(id: u64, filters: &[(u32, f64, f64)]) -> Subscription {

@@ -7,8 +7,9 @@
 //!   uncovered set (candidates for forwarding and event matching) and the
 //!   covered set (stored but redundant; Algorithm 4 lines 8–13).
 
+use crate::msg::Msg;
 use fsf_model::{Advertisement, SensorId};
-use fsf_network::NodeId;
+use fsf_network::{ChargeKind, Ctx, NodeId};
 use fsf_subsumption::OperatorTable;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -260,6 +261,162 @@ impl AdvStore {
             .iter()
             .filter(|(s, _)| !self.seen.contains(s))
             .map(|(&s, &g)| (s, g))
+    }
+}
+
+/// The at most two neighbors a re-homed advertisement asks a node to
+/// re-split its operators toward: the old direction first (retract along
+/// it), then the new one (forward along it).
+pub type Resplit = [Option<NodeId>; 2];
+
+/// Where a node re-splits after `update` stored an advertisement under
+/// `new_origin`: away from a neighbor the route left, toward a neighbor it
+/// now runs through. A refresh or an absorbed flood changes no route.
+fn resplit_targets(update: AdvUpdate, new_origin: Origin) -> Resplit {
+    let old = match update {
+        AdvUpdate::Moved {
+            old: Origin::Neighbor(o),
+        } => Some(o),
+        _ => None,
+    };
+    let new = match (update, new_origin) {
+        (AdvUpdate::Moved { .. } | AdvUpdate::Inserted, Origin::Neighbor(n)) => Some(n),
+        _ => None,
+    };
+    [old, new]
+}
+
+/// Send one unit of `msg` to every neighbor but `origin`.
+fn flood<O, R>(
+    ctx: &mut Ctx<'_, Msg<O, R>>,
+    origin: Origin,
+    kind: ChargeKind,
+    msg: impl Fn() -> Msg<O, R>,
+) {
+    for &j in ctx.neighbors().to_vec().iter() {
+        if Origin::Neighbor(j) != origin {
+            ctx.send(j, msg(), kind, 1);
+        }
+    }
+}
+
+/// The advertisement plane: Algorithm 1 and its generation-ordered
+/// retraction, mobility and repair floods, written once for every engine
+/// family. Each handler updates the store and sends the flood; what a
+/// family does with its operators afterwards (drop a departed sensor's
+/// events, re-split toward a changed route) stays with the node.
+impl AdvStore {
+    /// Algorithm 1: store `adv` as received from `origin` and flood it to
+    /// every other neighbor. A duplicate, or an original advertisement a
+    /// `Move` already superseded, is absorbed — flooding is idempotent.
+    pub fn advertise<O, R>(
+        &mut self,
+        origin: Origin,
+        adv: Advertisement,
+        ctx: &mut Ctx<'_, Msg<O, R>>,
+    ) {
+        if self.insert(origin, adv) {
+            flood(ctx, origin, ChargeKind::Advertisement, || Msg::Adv(adv));
+        }
+    }
+
+    /// Retract `sensor`'s advertisement and flood the retraction on. A
+    /// retraction is itself a **generation event**: the local injection
+    /// (`gen` = `None`) retires the host's known generation by bumping it,
+    /// and the flood carries that number — so a retraction straggler
+    /// arriving after a newer `Move` is absorbed instead of wiping the new
+    /// route, and the tombstone left behind absorbs any older `Move`
+    /// straggler. Returns the origin the advertisement was stored under,
+    /// or `None` if the retraction was absorbed (superseded, or the sensor
+    /// is unknown — retraction flooding is idempotent).
+    pub fn retract<O, R>(
+        &mut self,
+        origin: Origin,
+        sensor: SensorId,
+        gen: Option<u64>,
+        ctx: &mut Ctx<'_, Msg<O, R>>,
+    ) -> Option<Origin> {
+        let known = self.generation(sensor);
+        let gen = gen.unwrap_or(known + 1);
+        if gen < known {
+            return None; // a newer Move superseded this retraction
+        }
+        let stored = self.remove(sensor)?;
+        self.note_generation(sensor, gen);
+        flood(ctx, origin, ChargeKind::Advertisement, || {
+            Msg::AdvDown(sensor, gen)
+        });
+        Some(stored)
+    }
+
+    /// A generation-tagged `Move` re-advertisement arrived: supersede the
+    /// stored advertisement ([`AdvStore::apply_move`]) and flood onward
+    /// structurally — the generation check is the cross-flood terminator.
+    /// Returns where to re-split, or `None` for a stale flood, which is
+    /// absorbed: it cannot resurrect the old route.
+    pub fn relocate<O, R>(
+        &mut self,
+        origin: Origin,
+        adv: Advertisement,
+        gen: u64,
+        ctx: &mut Ctx<'_, Msg<O, R>>,
+    ) -> Option<Resplit> {
+        let update = self.apply_move(origin, adv, gen);
+        if update == AdvUpdate::Stale {
+            return None;
+        }
+        flood(ctx, origin, ChargeKind::Handoff, || Msg::Move(adv, gen));
+        Some(resplit_targets(update, origin))
+    }
+
+    /// A crash-recovery re-flood arrived: fill the hole or re-home the
+    /// origin if the repaired tree reaches the station through a different
+    /// neighbor ([`AdvStore::apply_repair`]), and propagate the flood
+    /// structurally. Returns where to re-split.
+    pub fn repair<O, R>(
+        &mut self,
+        origin: Origin,
+        adv: Advertisement,
+        gen: u64,
+        ctx: &mut Ctx<'_, Msg<O, R>>,
+    ) -> Resplit {
+        let update = self.apply_repair(origin, adv, gen);
+        flood(ctx, origin, ChargeKind::Recovery, || {
+            Msg::AdvRepair(adv, gen)
+        });
+        resplit_targets(update, origin)
+    }
+
+    /// Crash recovery, station side: re-flood every local advertisement to
+    /// every neighbor over the re-grafted tree, at its known generation (a
+    /// full re-flood; partial-state handoff is a recorded follow-on).
+    pub fn reflood_local<O, R>(&self, ctx: &mut Ctx<'_, Msg<O, R>>) {
+        for &adv in self.from_origin(Origin::Local) {
+            let gen = self.generation(adv.sensor);
+            flood(ctx, Origin::Local, ChargeKind::Recovery, || {
+                Msg::AdvRepair(adv, gen)
+            });
+        }
+    }
+
+    /// A severed link to `peer` healed: push this half's advertisement
+    /// picture across. Retraction tombstones go first, so a peer that
+    /// missed an `AdvDown` retires the route instead of resurrecting it;
+    /// then every advertisement this node reaches *not* through the peer
+    /// is re-offered as a generation-tagged repair (highest generation wins
+    /// at the receiver, exactly the crash-repair ordering). The peer runs
+    /// the same hook, so the two repair floods converge the divergent
+    /// halves.
+    pub fn offer<O, R>(&self, peer: NodeId, ctx: &mut Ctx<'_, Msg<O, R>>) {
+        for (sensor, gen) in self.tombstones() {
+            ctx.send(peer, Msg::AdvDown(sensor, gen), ChargeKind::Recovery, 1);
+        }
+        for origin in self.origins().filter(|&o| o != Origin::Neighbor(peer)) {
+            for &adv in self.from_origin(origin) {
+                let gen = self.generation(adv.sensor);
+                ctx.send(peer, Msg::AdvRepair(adv, gen), ChargeKind::Recovery, 1);
+            }
+        }
     }
 }
 

@@ -7,7 +7,7 @@ use fsf_network::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One node's residual state, as reported by [`Engine::footprint`] — the
+/// One node's residual state, as reported by [`EngineIntrospect::footprint`] — the
 /// quantities a fully torn-down network must return to zero (churn leak
 /// checks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

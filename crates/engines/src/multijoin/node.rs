@@ -3,55 +3,19 @@
 use super::ops::{ring_pairs, MjKey, MjWireOp, WireKind};
 use super::store::{MjStore, StoredMj, StoredRole};
 use fsf_core::events::{recycle, Correlator, EventStore, LinkFrame, SentScope};
-use fsf_core::store::{AdvStore, AdvUpdate, Origin};
-use fsf_model::{Advertisement, DimKey, Event, Operator, Subscription};
+use fsf_core::{AdvStore, Msg, Origin, Resplit};
+use fsf_model::{DimKey, Event, Operator};
 use fsf_network::{ChargeKind, Ctx, NodeBehavior, NodeId};
 use fsf_subsumption::{pairwise, MatchMode};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Wire messages of the multi-join engine.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MjMsg {
-    /// A sensor appears at this node (local injection).
-    SensorUp(Advertisement),
-    /// A flooded advertisement.
-    Adv(Advertisement),
-    /// A local sensor departs (local injection): retract its advertisement
-    /// and garbage-collect its stored readings.
-    SensorDown(fsf_model::SensorId),
-    /// A flooded advertisement retraction (retraces the `Adv` flood),
-    /// carrying the generation it retires — ordered against concurrent
-    /// `Move` floods like [`fsf_core::PubSubMsg::AdvDown`].
-    AdvDown(fsf_model::SensorId, u64),
-    /// A crash-recovery advertisement re-flood (generation-tagged):
-    /// traverses the whole tree (structural termination), re-homing stale
-    /// origins and re-forwarding the operator decomposition toward the
-    /// repaired direction. The generation orders repairs against mobility
-    /// (`Move`) floods — see [`fsf_core::PubSubMsg::AdvRepair`].
-    AdvRepair(Advertisement, u64),
-    /// A sensor-mobility handoff: a known sensor id re-appeared at a new
-    /// host, which floods this generation-tagged re-advertisement over the
-    /// whole tree. Nodes re-home the advert origin and re-forward the
-    /// stored decomposition toward the new path; a `MultiAbove` whose
-    /// fully-supporting neighbor lost the moved sensor is demoted — this
-    /// node becomes the new divergence point and splits the multi-join
-    /// locally (the join point migrates with the sensor).
-    Move(Advertisement, u64),
-    /// A local user registers a subscription.
-    Subscribe(Subscription),
-    /// A local user cancels a subscription: the whole decomposition (multi,
-    /// binary joins, filter transports) is withdrawn along its forwarding
-    /// paths.
-    Unsubscribe(fsf_model::SubId),
-    /// A forwarded operator (multi-join, binary join, or simple filter).
-    Op(MjWireOp),
-    /// A subscription's operators withdrawn by a neighbor.
-    RemoveSub(fsf_model::SubId),
-    /// A local sensor publishes a reading.
-    Publish(Event),
-    /// Simple events forwarded by a neighbor (per-link deduplicated).
-    Events(Vec<Event>),
-}
+/// Wire messages of the multi-join engine: the shared [`Msg`] carrying
+/// multi-join, binary-join and value-filter operators. Withdrawal is by
+/// subscription: a local `Unsubscribe(sub)` and a neighbor's
+/// `RemoveOperator(sub)` both remove the **whole** decomposition of `sub`
+/// (multi, binary joins, filter transports), not one operator, and retrace
+/// it along its forwarding paths.
+pub type MjMsg = Msg<MjWireOp, fsf_model::SubId>;
 
 /// A node of the distributed multi-join engine.
 #[derive(Debug)]
@@ -144,29 +108,11 @@ impl MjNode {
         )
     }
 
-    // ----- advertisements (same flooding as Algorithm 1) -----
-
-    fn handle_advertisement(
-        &mut self,
-        origin: Origin,
-        adv: Advertisement,
-        ctx: &mut Ctx<'_, MjMsg>,
-    ) {
-        if !self.adverts.insert(origin, adv) {
-            return;
-        }
-        for &j in ctx.neighbors().to_vec().iter() {
-            if Origin::Neighbor(j) != origin {
-                ctx.send(j, MjMsg::Adv(adv), ChargeKind::Advertisement, 1);
-            }
-        }
-    }
-
     // ----- subscriptions -----
 
     fn send_op(&mut self, j: NodeId, wire: MjWireOp, ctx: &mut Ctx<'_, MjMsg>) {
         if self.forwarded.insert((j, wire.key())) {
-            ctx.send(j, MjMsg::Op(wire), ChargeKind::Subscription, 1);
+            ctx.send(j, MjMsg::Operator(wire), ChargeKind::Subscription, 1);
         }
     }
 
@@ -250,17 +196,7 @@ impl MjNode {
                         },
                     );
                 // forward the per-neighbor projections toward the sources
-                for j in neighbors {
-                    if Origin::Neighbor(j) == origin {
-                        continue;
-                    }
-                    let sup = wire
-                        .op
-                        .supported_dims(self.adverts.from_origin(Origin::Neighbor(j)));
-                    if let Some(proj) = wire.op.project(&sup) {
-                        self.send_op(j, MjWireOp::new(proj, WireKind::Filter), ctx);
-                    }
-                }
+                self.split_into_filters(origin, &wire.op, ctx);
             }
             WireKind::Binary { main } => {
                 // Binary joins are created at (and never leave) the
@@ -348,24 +284,31 @@ impl MjNode {
         if !removed {
             return; // idempotent: unknown subscription, nothing to retrace
         }
-        // retrace: every neighbor this subscription's operators were sent to
-        let sent: Vec<(NodeId, MjKey)> = self
-            .forwarded
-            .iter()
-            .filter(|(_, k)| k.sub == sub)
-            .cloned()
-            .collect();
+        self.retrace_sub(sub, None, ctx);
+        self.promote_uncovered(origin, ctx);
+    }
+
+    /// Retrace one subscription's forwards: withdraw it from every live
+    /// neighbor its operators were sent to, except `skip` (a crashed
+    /// neighbor, whose copies died with it), and forget the records.
+    fn retrace_sub(
+        &mut self,
+        sub: fsf_model::SubId,
+        skip: Option<NodeId>,
+        ctx: &mut Ctx<'_, MjMsg>,
+    ) {
         let mut notified: BTreeSet<NodeId> = BTreeSet::new();
-        for (j, k) in sent {
-            self.forwarded.remove(&(j, k));
-            notified.insert(j);
-        }
+        self.forwarded.retain(|(j, k)| {
+            if k.sub == sub {
+                notified.insert(*j);
+            }
+            k.sub != sub
+        });
         for j in notified {
-            if ctx.neighbors().binary_search(&j).is_ok() {
-                ctx.send(j, MjMsg::RemoveSub(sub), ChargeKind::Subscription, 1);
+            if Some(j) != skip && ctx.neighbors().binary_search(&j).is_ok() {
+                ctx.send(j, MjMsg::RemoveOperator(sub), ChargeKind::Subscription, 1);
             }
         }
-        self.promote_uncovered(origin, ctx);
     }
 
     /// Re-check the covered half of `origin`'s slot after a removal: any
@@ -404,15 +347,12 @@ impl MjNode {
         }
     }
 
-    /// A sensor departed: retract its advertisement, retrace the flood, and
-    /// garbage-collect its stored readings. Operators referencing the
-    /// departed sensor stay until their subscription is retracted — with the
-    /// source gone they are inert, and whole-subscription removal does not
-    /// depend on the advertisement picture. Generation-ordered against
-    /// mobility exactly like [`fsf_core::PubSubNode`]'s handler: the local
-    /// injection retires the host's known generation by bumping it, the
-    /// flood carries that number, and stragglers on either side are
-    /// absorbed.
+    /// A sensor departed: retract its advertisement, retrace the flood
+    /// ([`AdvStore::retract`]), and garbage-collect its stored readings.
+    /// Operators referencing the departed sensor stay until their
+    /// subscription is retracted — with the source gone they are inert, and
+    /// whole-subscription removal does not depend on the advertisement
+    /// picture.
     fn handle_sensor_down(
         &mut self,
         origin: Origin,
@@ -420,21 +360,9 @@ impl MjNode {
         gen: Option<u64>,
         ctx: &mut Ctx<'_, MjMsg>,
     ) {
-        let known = self.adverts.generation(sensor);
-        let gen = gen.unwrap_or(known + 1);
-        if gen < known {
-            return; // a newer Move superseded this retraction — absorb
+        if self.adverts.retract(origin, sensor, gen, ctx).is_some() {
+            self.events.remove_sensor(sensor);
         }
-        if self.adverts.remove(sensor).is_none() {
-            return; // retraction flooding is idempotent
-        }
-        self.adverts.note_generation(sensor, gen);
-        for &j in ctx.neighbors().to_vec().iter() {
-            if Origin::Neighbor(j) != origin {
-                ctx.send(j, MjMsg::AdvDown(sensor, gen), ChargeKind::Advertisement, 1);
-            }
-        }
-        self.events.remove_sensor(sensor);
     }
 
     // ----- crash recovery -----
@@ -449,93 +377,23 @@ impl MjNode {
         let origin = Origin::Neighbor(crashed);
         if let Some(store) = self.stores.remove(&origin) {
             for sub in store.sub_ids() {
-                let sent: Vec<(NodeId, MjKey)> = self
-                    .forwarded
-                    .iter()
-                    .filter(|(_, k)| k.sub == sub)
-                    .cloned()
-                    .collect();
-                let mut notified: BTreeSet<NodeId> = BTreeSet::new();
-                for (j, k) in sent {
-                    self.forwarded.remove(&(j, k));
-                    notified.insert(j);
-                }
-                for j in notified {
-                    if j != crashed && ctx.neighbors().binary_search(&j).is_ok() {
-                        ctx.send(j, MjMsg::RemoveSub(sub), ChargeKind::Subscription, 1);
-                    }
-                }
+                self.retrace_sub(sub, Some(crashed), ctx);
             }
         }
         self.forwarded.retain(|(j, _)| *j != crashed);
     }
 
-    // ----- sensor mobility -----
+    // ----- sensor mobility and crash repair -----
 
-    /// Re-route the stored decomposition after an advertisement origin
-    /// change: reconcile toward the old direction first (demoting any
+    /// Re-split toward the directions a `Move` or `AdvRepair` flood re-homed
+    /// an advertisement between: the old direction first (demoting any
     /// `MultiAbove` whose fully-supporting neighbor lost the sensor — the
-    /// divergence point migrates here), then re-forward toward the new
-    /// path. `send_op` dedups, so intact forwards are never repeated.
-    fn reroute(&mut self, update: AdvUpdate, new_origin: Origin, ctx: &mut Ctx<'_, MjMsg>) {
-        if let AdvUpdate::Moved {
-            old: Origin::Neighbor(o),
-        } = update
-        {
-            self.resplit_toward(o, ctx);
+    /// divergence point migrates here), then the new path. `send_op`
+    /// dedups, so intact forwards are never repeated.
+    fn reroute(&mut self, toward: Resplit, ctx: &mut Ctx<'_, MjMsg>) {
+        for j in toward.into_iter().flatten() {
+            self.resplit_toward(j, ctx);
         }
-        if matches!(update, AdvUpdate::Moved { .. } | AdvUpdate::Inserted) {
-            if let Origin::Neighbor(n) = new_origin {
-                self.resplit_toward(n, ctx);
-            }
-        }
-    }
-
-    /// A generation-tagged `Move` re-advertisement arrived — the mobility
-    /// counterpart of [`Self::handle_adv_repair`]. See
-    /// [`fsf_core::PubSubNode`]'s move handler for the protocol; the
-    /// multi-join difference is in [`Self::resplit_toward`]'s demotion.
-    fn handle_move(
-        &mut self,
-        origin: Origin,
-        adv: Advertisement,
-        gen: u64,
-        ctx: &mut Ctx<'_, MjMsg>,
-    ) {
-        let update = self.adverts.apply_move(origin, adv, gen);
-        if update == AdvUpdate::Stale {
-            return; // absorb: a stale flood cannot resurrect the old route
-        }
-        for &j in ctx.neighbors().to_vec().iter() {
-            if Origin::Neighbor(j) != origin {
-                ctx.send(j, MjMsg::Move(adv, gen), ChargeKind::Handoff, 1);
-            }
-        }
-        // fresh correlation epoch for the moved sensor (stationary-twin
-        // rule: the retire-at-old-host twin drops these readings too)
-        self.events.remove_sensor(adv.sensor);
-        self.reroute(update, origin, ctx);
-    }
-
-    /// A crash-recovery re-flood arrived: fill the hole or re-home the
-    /// origin, propagate structurally, and re-forward the decomposition
-    /// toward the repaired direction. The generation ordering against
-    /// mobility lives in [`AdvStore::apply_repair`], shared with the
-    /// pub/sub family.
-    fn handle_adv_repair(
-        &mut self,
-        origin: Origin,
-        adv: Advertisement,
-        gen: u64,
-        ctx: &mut Ctx<'_, MjMsg>,
-    ) {
-        let update = self.adverts.apply_repair(origin, adv, gen);
-        for &n in ctx.neighbors().to_vec().iter() {
-            if Origin::Neighbor(n) != origin {
-                ctx.send(n, MjMsg::AdvRepair(adv, gen), ChargeKind::Recovery, 1);
-            }
-        }
-        self.reroute(update, origin, ctx);
     }
 
     /// Reconcile the stored decomposition with the data space behind `j`
@@ -553,7 +411,7 @@ impl MjNode {
     ///    multi-joins where `j` fully supports them;
     /// 3. **diff against the recorded forwards**: a subscription with a
     ///    recorded forward toward `j` that is no longer desired (the route
-    ///    moved away) is withdrawn with a `RemoveSub` retrace and re-sent
+    ///    moved away) is withdrawn with a `RemoveOperator` retrace and re-sent
     ///    from the desired set; otherwise the missing forwards are simply
     ///    added (`send_op` dedups, so intact forwards are never repeated
     ///    and an unchanged picture sends nothing).
@@ -651,7 +509,7 @@ impl MjNode {
         }
         for sub in stale {
             self.forwarded.retain(|(nj, k)| !(*nj == j && k.sub == sub));
-            ctx.send(j, MjMsg::RemoveSub(sub), ChargeKind::Subscription, 1);
+            ctx.send(j, MjMsg::RemoveOperator(sub), ChargeKind::Subscription, 1);
         }
         for wires in desired.into_values() {
             for wire in wires {
@@ -819,14 +677,24 @@ impl NodeBehavior for MjNode {
             Origin::Neighbor(from)
         };
         match msg {
-            MjMsg::SensorUp(adv) => self.handle_advertisement(Origin::Local, adv, ctx),
-            MjMsg::Adv(adv) => self.handle_advertisement(origin, adv, ctx),
+            MjMsg::SensorUp(adv) => self.adverts.advertise(Origin::Local, adv, ctx),
+            MjMsg::Adv(adv) => self.adverts.advertise(origin, adv, ctx),
             MjMsg::SensorDown(sensor) => self.handle_sensor_down(Origin::Local, sensor, None, ctx),
             MjMsg::AdvDown(sensor, gen) => self.handle_sensor_down(origin, sensor, Some(gen), ctx),
-            MjMsg::AdvRepair(adv, gen) => self.handle_adv_repair(origin, adv, gen, ctx),
-            MjMsg::Move(adv, gen) => self.handle_move(origin, adv, gen, ctx),
+            MjMsg::AdvRepair(adv, gen) => {
+                let toward = self.adverts.repair(origin, adv, gen, ctx);
+                self.reroute(toward, ctx);
+            }
+            MjMsg::Move(adv, gen) => {
+                if let Some(toward) = self.adverts.relocate(origin, adv, gen, ctx) {
+                    // fresh correlation epoch for the moved sensor (stationary-
+                    // twin rule: the retire-at-old-host twin drops these too)
+                    self.events.remove_sensor(adv.sensor);
+                    self.reroute(toward, ctx);
+                }
+            }
             MjMsg::Unsubscribe(sub) => self.handle_remove_sub(Origin::Local, sub, ctx),
-            MjMsg::RemoveSub(sub) => self.handle_remove_sub(origin, sub, ctx),
+            MjMsg::RemoveOperator(sub) => self.handle_remove_sub(origin, sub, ctx),
             MjMsg::Subscribe(sub) => {
                 let arity = sub.arity();
                 let op = Operator::from_subscription(&sub);
@@ -837,7 +705,7 @@ impl NodeBehavior for MjNode {
                 };
                 self.handle_operator(Origin::Local, MjWireOp::new(op, kind), true, ctx);
             }
-            MjMsg::Op(wire) => self.handle_operator(origin, wire, false, ctx),
+            MjMsg::Operator(wire) => self.handle_operator(origin, wire, false, ctx),
             MjMsg::Publish(event) => self.handle_event_batch(Origin::Local, vec![event], ctx),
             MjMsg::Events(events) => self.handle_event_batch(origin, events, ctx),
         }
@@ -846,43 +714,20 @@ impl NodeBehavior for MjNode {
     /// Crash recovery, multi-join edition: nodes adjacent to the crash
     /// purge the corpse's slot (with downstream retraction), and stations
     /// re-flood their local advertisements; the repair floods drive the
-    /// decomposition re-forward through [`Self::resplit_toward`].
+    /// decomposition re-forward.
     fn on_recover(&mut self, delta: &fsf_network::RegraftDelta, ctx: &mut Ctx<'_, MjMsg>) {
         if delta.was_neighbor(self.id) {
             self.purge_crashed_origin(delta.crashed, ctx);
         }
-        let local: Vec<Advertisement> = self.adverts.from_origin(Origin::Local).to_vec();
-        for adv in local {
-            let gen = self.adverts.generation(adv.sensor);
-            for &n in ctx.neighbors().to_vec().iter() {
-                ctx.send(n, MjMsg::AdvRepair(adv, gen), ChargeKind::Recovery, 1);
-            }
-        }
+        self.adverts.reflood_local(ctx);
     }
 
-    /// A severed link healed: push this half's advertisement picture across
-    /// (retraction tombstones first, then generation-tagged repairs —
-    /// highest generation wins at the receiver) and force-re-forward the
-    /// stored decomposition toward the peer, clearing the sender-side dedup
-    /// records that were poisoned by radio-dropped forwards. See
-    /// [`fsf_core::PubSubNode`]'s hook for the full reconciliation story.
+    /// A severed link healed: offer this half's advertisement picture
+    /// across ([`AdvStore::offer`]) and force-re-forward the stored
+    /// decomposition toward the peer, clearing the sender-side dedup
+    /// records that were poisoned by radio-dropped forwards.
     fn on_link_up(&mut self, peer: NodeId, ctx: &mut Ctx<'_, MjMsg>) {
-        let tombs: Vec<(fsf_model::SensorId, u64)> = self.adverts.tombstones().collect();
-        for (sensor, gen) in tombs {
-            ctx.send(peer, MjMsg::AdvDown(sensor, gen), ChargeKind::Recovery, 1);
-        }
-        let advs: Vec<(Advertisement, u64)> = self
-            .adverts
-            .origins()
-            .filter(|&o| o != Origin::Neighbor(peer))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flat_map(|o| self.adverts.from_origin(o).iter().copied())
-            .map(|a| (a, self.adverts.generation(a.sensor)))
-            .collect();
-        for (adv, gen) in advs {
-            ctx.send(peer, MjMsg::AdvRepair(adv, gen), ChargeKind::Recovery, 1);
-        }
+        self.adverts.offer(peer, ctx);
         self.resplit_toward_inner(peer, ctx, true);
     }
 }
@@ -890,7 +735,9 @@ impl NodeBehavior for MjNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fsf_model::{AttrId, EventId, Point, SensorId, SubId, Timestamp, ValueRange};
+    use fsf_model::{
+        Advertisement, AttrId, EventId, Point, SensorId, SubId, Subscription, Timestamp, ValueRange,
+    };
     use fsf_network::{builders, Simulator, Topology};
 
     const DT: u64 = 30;

@@ -166,9 +166,10 @@ impl MjStore {
         self.uncovered.iter()
     }
 
-    /// Remove one uncovered identity, maintaining the dimension index
-    /// (crash recovery demotes a `MultiAbove` whose forwarding target died
-    /// so it can be re-processed as a fresh multi-join).
+    /// Remove one uncovered identity, maintaining the dimension index and
+    /// the range arrangement (crash recovery demotes a `MultiAbove` whose
+    /// forwarding target died so it can be re-processed as a fresh
+    /// multi-join; [`MjStore::remove_sub`] removes through it too).
     pub fn remove_uncovered(&mut self, key: &MjKey) -> Option<StoredMj> {
         let stored = self.uncovered.remove(key)?;
         for d in stored.op.dims() {
@@ -213,17 +214,7 @@ impl MjStore {
             .cloned()
             .collect();
         for key in &keys {
-            if let Some(stored) = self.uncovered.remove(key) {
-                for d in stored.op.dims() {
-                    if let Some(set) = self.dim_index.get_mut(&d) {
-                        set.remove(key);
-                        if set.is_empty() {
-                            self.dim_index.remove(&d);
-                        }
-                    }
-                    self.index.remove(&d, key);
-                }
-            }
+            self.remove_uncovered(key);
             self.covered.remove(key);
         }
         !keys.is_empty()

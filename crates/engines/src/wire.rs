@@ -1,180 +1,60 @@
-//! Binary wire encodings ([`WireMsg`]) for the engines' message enums, so
-//! every engine family can run on the production [`fsf_runtime::NodeHost`]
-//! with real frames on every link.
+//! Binary wire encodings for the two message families implemented in this
+//! crate, so every engine can run on the production
+//! [`fsf_runtime::NodeHost`] with real frames on every link.
 //!
-//! [`fsf_core::PubSubMsg`]'s encoding lives with the codec in
-//! `fsf-runtime`; this module covers the two families implemented in this
-//! crate — [`MjMsg`] (multi-join) and [`CentralMsg`] (centralized) — in
-//! the same style: a one-byte variant tag followed by the payload in the
-//! codec's primitive encodings. Decoding is strict: unknown tags and
-//! trailing bytes are rejected (`None`), and the round-trip battery in
-//! `tests/codec_roundtrip.rs` exercises every variant of all three enums.
+//! The multi-join engine speaks the shared [`fsf_core::Msg`], whose one
+//! encoding lives with the codec in `fsf-runtime`; this module adds only
+//! its operator payload ([`MjWireOp`]). [`CentralMsg`] (centralized) has
+//! its own enum, encoded in the same style: a one-byte variant tag
+//! followed by the payload in the codec's primitive encodings. Decoding is
+//! strict: unknown tags and trailing bytes are rejected (`None`), and the
+//! round-trip battery in `tests/codec_roundtrip.rs` exercises every
+//! variant of all three message types.
 //!
-//! Per-link write batching merges adjacent event frames: two
-//! [`MjMsg::Events`] runs concatenate, and two [`CentralMsg::Results`]
-//! frames for the same `(user, sub)` concatenate — everything else keeps
-//! its own frame (and its FIFO slot on the link).
+//! Per-link write batching merges adjacent event frames: two `Events` runs
+//! concatenate, and two [`CentralMsg::Results`] frames for the same
+//! `(user, sub)` concatenate — everything else keeps its own frame (and
+//! its FIFO slot on the link).
 
 use crate::centralized::CentralMsg;
-use crate::multijoin::{MjMsg, MjWireOp, WireKind};
+use crate::multijoin::{MjWireOp, WireKind};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use fsf_model::{SensorId, SubId};
+use fsf_model::{Operator, SensorId, SubId};
 use fsf_network::NodeId;
 use fsf_runtime::codec::{
-    decode_advertisement, decode_dim_key, decode_event, decode_events, decode_operator,
-    decode_subscription, encode_advertisement, encode_dim_key, encode_event, encode_events,
-    encode_operator, encode_subscription,
+    decode_dim_key, decode_event, decode_events, decode_subscription, encode_dim_key, encode_event,
+    encode_events, encode_subscription,
 };
-use fsf_runtime::WireMsg;
+use fsf_runtime::{WireMsg, WirePayload};
 
-/// Encode a multi-join operator with its decomposition role.
-pub fn encode_mj_op(op: &MjWireOp, buf: &mut BytesMut) {
-    encode_operator(&op.op, buf);
-    match op.kind {
-        WireKind::Multi => buf.put_u8(0),
-        WireKind::Binary { main } => {
-            buf.put_u8(1);
-            encode_dim_key(&main, buf);
-        }
-        WireKind::Filter => buf.put_u8(2),
-    }
-}
-
-/// Decode a multi-join operator; `None` on malformed input.
-pub fn decode_mj_op(buf: &mut Bytes) -> Option<MjWireOp> {
-    let op = decode_operator(buf)?;
-    if buf.remaining() < 1 {
-        return None;
-    }
-    let kind = match buf.get_u8() {
-        0 => WireKind::Multi,
-        1 => WireKind::Binary {
-            main: decode_dim_key(buf)?,
-        },
-        2 => WireKind::Filter,
-        _ => return None,
-    };
-    Some(MjWireOp { op, kind })
-}
-
-impl WireMsg for MjMsg {
+/// A multi-join operator travels with its decomposition role.
+impl WirePayload for MjWireOp {
     fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            MjMsg::SensorUp(adv) => {
-                buf.put_u8(0);
-                encode_advertisement(adv, buf);
-            }
-            MjMsg::Adv(adv) => {
+        self.op.encode(buf);
+        match self.kind {
+            WireKind::Multi => buf.put_u8(0),
+            WireKind::Binary { main } => {
                 buf.put_u8(1);
-                encode_advertisement(adv, buf);
+                encode_dim_key(&main, buf);
             }
-            MjMsg::SensorDown(sensor) => {
-                buf.put_u8(2);
-                buf.put_u32(sensor.0);
-            }
-            MjMsg::AdvDown(sensor, generation) => {
-                buf.put_u8(3);
-                buf.put_u32(sensor.0);
-                buf.put_u64(*generation);
-            }
-            MjMsg::AdvRepair(adv, generation) => {
-                buf.put_u8(4);
-                encode_advertisement(adv, buf);
-                buf.put_u64(*generation);
-            }
-            MjMsg::Move(adv, generation) => {
-                buf.put_u8(5);
-                encode_advertisement(adv, buf);
-                buf.put_u64(*generation);
-            }
-            MjMsg::Subscribe(sub) => {
-                buf.put_u8(6);
-                encode_subscription(sub, buf);
-            }
-            MjMsg::Unsubscribe(sub) => {
-                buf.put_u8(7);
-                buf.put_u64(sub.0);
-            }
-            MjMsg::Op(op) => {
-                buf.put_u8(8);
-                encode_mj_op(op, buf);
-            }
-            MjMsg::RemoveSub(sub) => {
-                buf.put_u8(9);
-                buf.put_u64(sub.0);
-            }
-            MjMsg::Publish(event) => {
-                buf.put_u8(10);
-                encode_event(event, buf);
-            }
-            MjMsg::Events(events) => {
-                buf.put_u8(11);
-                encode_events(events, buf);
-            }
+            WireKind::Filter => buf.put_u8(2),
         }
     }
 
     fn decode(buf: &mut Bytes) -> Option<Self> {
+        let op = Operator::decode(buf)?;
         if buf.remaining() < 1 {
             return None;
         }
-        Some(match buf.get_u8() {
-            0 => MjMsg::SensorUp(decode_advertisement(buf)?),
-            1 => MjMsg::Adv(decode_advertisement(buf)?),
-            2 => {
-                if buf.remaining() < 4 {
-                    return None;
-                }
-                MjMsg::SensorDown(SensorId(buf.get_u32()))
-            }
-            3 => {
-                if buf.remaining() < 12 {
-                    return None;
-                }
-                MjMsg::AdvDown(SensorId(buf.get_u32()), buf.get_u64())
-            }
-            4 => {
-                let adv = decode_advertisement(buf)?;
-                if buf.remaining() < 8 {
-                    return None;
-                }
-                MjMsg::AdvRepair(adv, buf.get_u64())
-            }
-            5 => {
-                let adv = decode_advertisement(buf)?;
-                if buf.remaining() < 8 {
-                    return None;
-                }
-                MjMsg::Move(adv, buf.get_u64())
-            }
-            6 => MjMsg::Subscribe(decode_subscription(buf)?),
-            7 => {
-                if buf.remaining() < 8 {
-                    return None;
-                }
-                MjMsg::Unsubscribe(SubId(buf.get_u64()))
-            }
-            8 => MjMsg::Op(decode_mj_op(buf)?),
-            9 => {
-                if buf.remaining() < 8 {
-                    return None;
-                }
-                MjMsg::RemoveSub(SubId(buf.get_u64()))
-            }
-            10 => MjMsg::Publish(decode_event(buf)?),
-            11 => MjMsg::Events(decode_events(buf)?),
+        let kind = match buf.get_u8() {
+            0 => WireKind::Multi,
+            1 => WireKind::Binary {
+                main: decode_dim_key(buf)?,
+            },
+            2 => WireKind::Filter,
             _ => return None,
-        })
-    }
-
-    fn coalesce(&mut self, other: Self) -> Result<(), Self> {
-        match (self, other) {
-            (MjMsg::Events(mine), MjMsg::Events(theirs)) => {
-                mine.extend(theirs);
-                Ok(())
-            }
-            (_, other) => Err(other),
-        }
+        };
+        Some(MjWireOp { op, kind })
     }
 }
 

@@ -6,7 +6,7 @@
 //! paper's homogeneous middleware.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use fsf_core::PubSubMsg;
+use fsf_core::Msg;
 use fsf_model::{
     Advertisement, AttrId, DimKey, DimSignature, Event, EventId, Operator, OperatorKey, Point,
     Rect, Region, SensorId, SubId, Subscription, SubscriptionKind, Timestamp, ValueRange,
@@ -335,51 +335,6 @@ pub fn decode_subscription(buf: &mut Bytes) -> Option<Subscription> {
     decode_query_body(buf)
 }
 
-/// Append an operator's wire form (same body as a subscription — an
-/// operator is a projection of one, and carries the identical fields).
-pub fn encode_operator(op: &Operator, buf: &mut BytesMut) {
-    encode_query_body(
-        op.sub(),
-        op.kind(),
-        op.predicates(),
-        op.region(),
-        op.delta_t(),
-        op.delta_l(),
-        buf,
-    );
-}
-
-/// Decode one operator.
-pub fn decode_operator(buf: &mut Bytes) -> Option<Operator> {
-    decode_query_body(buf).map(|sub| Operator::from_subscription(&sub))
-}
-
-/// Append an operator key (`subscription id` + dimension signature).
-pub fn encode_operator_key(key: &OperatorKey, buf: &mut BytesMut) {
-    buf.put_u64(key.sub.0);
-    buf.put_u16(key.dims.dims().len() as u16);
-    for d in key.dims.dims() {
-        encode_dim_key(d, buf);
-    }
-}
-
-/// Decode one operator key.
-pub fn decode_operator_key(buf: &mut Bytes) -> Option<OperatorKey> {
-    if buf.remaining() < 10 {
-        return None;
-    }
-    let sub = SubId(buf.get_u64());
-    let n = buf.get_u16() as usize;
-    let mut dims = Vec::with_capacity(n);
-    for _ in 0..n {
-        dims.push(decode_dim_key(buf)?);
-    }
-    Some(OperatorKey {
-        sub,
-        dims: DimSignature::new(dims),
-    })
-}
-
 /// Append a length-prefixed event vector (the body of an `Events` frame).
 pub fn encode_events(events: &[Event], buf: &mut BytesMut) {
     buf.put_u32(events.len() as u32);
@@ -401,57 +356,136 @@ pub fn decode_events(buf: &mut Bytes) -> Option<Vec<Event>> {
     Some(out)
 }
 
-impl WireMsg for PubSubMsg {
+/// A payload a [`Msg`] carries in its `Operator` and `RemoveOperator`
+/// variants: what each engine family forwards, and the key it withdraws
+/// it by. Encoding as in [`WireMsg`], without the framing.
+pub trait WirePayload: Sized {
+    /// Append this payload's wire form to `buf`.
+    fn encode(&self, buf: &mut BytesMut);
+
+    /// Decode one payload, consuming its bytes; `None` on a short or
+    /// malformed buffer.
+    fn decode(buf: &mut Bytes) -> Option<Self>;
+}
+
+/// An operator has the same body as a subscription — it is a projection
+/// of one, and carries the identical fields.
+impl WirePayload for Operator {
+    fn encode(&self, buf: &mut BytesMut) {
+        encode_query_body(
+            self.sub(),
+            self.kind(),
+            self.predicates(),
+            self.region(),
+            self.delta_t(),
+            self.delta_l(),
+            buf,
+        );
+    }
+
+    fn decode(buf: &mut Bytes) -> Option<Self> {
+        decode_query_body(buf).map(|sub| Operator::from_subscription(&sub))
+    }
+}
+
+/// An operator key: the subscription id and the dimension signature.
+impl WirePayload for OperatorKey {
+    fn encode(&self, buf: &mut BytesMut) {
+        buf.put_u64(self.sub.0);
+        buf.put_u16(self.dims.dims().len() as u16);
+        for d in self.dims.dims() {
+            encode_dim_key(d, buf);
+        }
+    }
+
+    fn decode(buf: &mut Bytes) -> Option<Self> {
+        if buf.remaining() < 10 {
+            return None;
+        }
+        let sub = SubId(buf.get_u64());
+        let n = buf.get_u16() as usize;
+        let mut dims = Vec::with_capacity(n);
+        for _ in 0..n {
+            dims.push(decode_dim_key(buf)?);
+        }
+        Some(OperatorKey {
+            sub,
+            dims: DimSignature::new(dims),
+        })
+    }
+}
+
+impl WirePayload for SubId {
+    fn encode(&self, buf: &mut BytesMut) {
+        buf.put_u64(self.0);
+    }
+
+    fn decode(buf: &mut Bytes) -> Option<Self> {
+        (buf.remaining() >= 8).then(|| SubId(buf.get_u64()))
+    }
+}
+
+/// Decode an advertisement followed by its generation.
+fn decode_generation_tagged(buf: &mut Bytes) -> Option<(Advertisement, u64)> {
+    let adv = decode_advertisement(buf)?;
+    (buf.remaining() >= 8).then(|| (adv, buf.get_u64()))
+}
+
+/// One encoding for every engine family's [`Msg`]: a one-byte variant tag
+/// (the variant's position) followed by the payload in the primitive
+/// encodings above. [`PubSubMsg`](fsf_core::PubSubMsg) and the multi-join
+/// engine's messages differ only in their [`WirePayload`]s.
+impl<O: WirePayload, R: WirePayload> WireMsg for Msg<O, R> {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
-            PubSubMsg::SensorUp(a) => {
+            Msg::SensorUp(a) => {
                 buf.put_u8(0);
                 encode_advertisement(a, buf);
             }
-            PubSubMsg::Adv(a) => {
+            Msg::Adv(a) => {
                 buf.put_u8(1);
                 encode_advertisement(a, buf);
             }
-            PubSubMsg::SensorDown(d) => {
+            Msg::SensorDown(d) => {
                 buf.put_u8(2);
                 buf.put_u32(d.0);
             }
-            PubSubMsg::AdvDown(d, gen) => {
+            Msg::AdvDown(d, gen) => {
                 buf.put_u8(3);
                 buf.put_u32(d.0);
                 buf.put_u64(*gen);
             }
-            PubSubMsg::AdvRepair(a, gen) => {
+            Msg::AdvRepair(a, gen) => {
                 buf.put_u8(4);
                 encode_advertisement(a, buf);
                 buf.put_u64(*gen);
             }
-            PubSubMsg::Move(a, gen) => {
+            Msg::Move(a, gen) => {
                 buf.put_u8(5);
                 encode_advertisement(a, buf);
                 buf.put_u64(*gen);
             }
-            PubSubMsg::Subscribe(s) => {
+            Msg::Subscribe(s) => {
                 buf.put_u8(6);
                 encode_subscription(s, buf);
             }
-            PubSubMsg::Operator(op) => {
+            Msg::Operator(op) => {
                 buf.put_u8(7);
-                encode_operator(op, buf);
+                op.encode(buf);
             }
-            PubSubMsg::Unsubscribe(s) => {
+            Msg::Unsubscribe(s) => {
                 buf.put_u8(8);
-                buf.put_u64(s.0);
+                s.encode(buf);
             }
-            PubSubMsg::RemoveOperator(k) => {
+            Msg::RemoveOperator(k) => {
                 buf.put_u8(9);
-                encode_operator_key(k, buf);
+                k.encode(buf);
             }
-            PubSubMsg::Publish(e) => {
+            Msg::Publish(e) => {
                 buf.put_u8(10);
                 encode_event(e, buf);
             }
-            PubSubMsg::Events(es) => {
+            Msg::Events(es) => {
                 buf.put_u8(11);
                 encode_events(es, buf);
             }
@@ -463,52 +497,41 @@ impl WireMsg for PubSubMsg {
             return None;
         }
         Some(match buf.get_u8() {
-            0 => PubSubMsg::SensorUp(decode_advertisement(buf)?),
-            1 => PubSubMsg::Adv(decode_advertisement(buf)?),
+            0 => Msg::SensorUp(decode_advertisement(buf)?),
+            1 => Msg::Adv(decode_advertisement(buf)?),
             2 => {
                 if buf.remaining() < 4 {
                     return None;
                 }
-                PubSubMsg::SensorDown(SensorId(buf.get_u32()))
+                Msg::SensorDown(SensorId(buf.get_u32()))
             }
             3 => {
                 if buf.remaining() < 12 {
                     return None;
                 }
-                PubSubMsg::AdvDown(SensorId(buf.get_u32()), buf.get_u64())
+                Msg::AdvDown(SensorId(buf.get_u32()), buf.get_u64())
             }
             4 => {
-                let a = decode_advertisement(buf)?;
-                if buf.remaining() < 8 {
-                    return None;
-                }
-                PubSubMsg::AdvRepair(a, buf.get_u64())
+                let (a, gen) = decode_generation_tagged(buf)?;
+                Msg::AdvRepair(a, gen)
             }
             5 => {
-                let a = decode_advertisement(buf)?;
-                if buf.remaining() < 8 {
-                    return None;
-                }
-                PubSubMsg::Move(a, buf.get_u64())
+                let (a, gen) = decode_generation_tagged(buf)?;
+                Msg::Move(a, gen)
             }
-            6 => PubSubMsg::Subscribe(decode_subscription(buf)?),
-            7 => PubSubMsg::Operator(decode_operator(buf)?),
-            8 => {
-                if buf.remaining() < 8 {
-                    return None;
-                }
-                PubSubMsg::Unsubscribe(SubId(buf.get_u64()))
-            }
-            9 => PubSubMsg::RemoveOperator(decode_operator_key(buf)?),
-            10 => PubSubMsg::Publish(decode_event(buf)?),
-            11 => PubSubMsg::Events(decode_events(buf)?),
+            6 => Msg::Subscribe(decode_subscription(buf)?),
+            7 => Msg::Operator(O::decode(buf)?),
+            8 => Msg::Unsubscribe(SubId::decode(buf)?),
+            9 => Msg::RemoveOperator(R::decode(buf)?),
+            10 => Msg::Publish(decode_event(buf)?),
+            11 => Msg::Events(decode_events(buf)?),
             _ => return None,
         })
     }
 
     fn coalesce(&mut self, other: Self) -> Result<(), Self> {
         match (self, other) {
-            (PubSubMsg::Events(mine), PubSubMsg::Events(more)) => {
+            (Msg::Events(mine), Msg::Events(more)) => {
                 mine.extend(more);
                 Ok(())
             }

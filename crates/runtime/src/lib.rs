@@ -29,5 +29,5 @@
 pub mod codec;
 pub mod host;
 
-pub use codec::WireMsg;
+pub use codec::{WireMsg, WirePayload};
 pub use host::{HostConfig, HostLedger, HostMode, NodeHost};

@@ -146,8 +146,8 @@ fn mj_variants(rng: &mut StdRng) -> Vec<MjMsg> {
         MjMsg::Move(rand_adv(rng), rng.gen_range(0..100)),
         MjMsg::Subscribe(rand_sub(rng)),
         MjMsg::Unsubscribe(SubId(rng.gen_range(0..u64::MAX / 2))),
-        MjMsg::Op(rand_mj_op(rng)),
-        MjMsg::RemoveSub(SubId(rng.gen_range(0..u64::MAX / 2))),
+        MjMsg::Operator(rand_mj_op(rng)),
+        MjMsg::RemoveOperator(SubId(rng.gen_range(0..u64::MAX / 2))),
         MjMsg::Publish(rand_event(rng)),
         MjMsg::Events(rand_events(rng, 8)),
     ]
@@ -332,4 +332,80 @@ fn operator_bodies_survive_both_subscription_flavours() {
         check_frame(&PubSubMsg::Operator(op));
     }
     assert!(saw.0 && saw.1, "seed never produced one of the flavours");
+}
+
+fn hex(frame: &[u8]) -> String {
+    frame.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// One fixed [`PubSubMsg`] per variant, in tag order.
+fn pinned_pubsub_frames() -> Vec<PubSubMsg> {
+    let adv = Advertisement {
+        sensor: SensorId(7),
+        attr: AttrId(3),
+        location: Point::new(1.5, -2.0),
+    };
+    let sub = Subscription::identified(SubId(9), [(SensorId(7), ValueRange::new(-1.0, 2.5))], 30)
+        .expect("valid identified sub");
+    let region = Region::Rect(Rect::new(Point::new(0.0, 0.0), Point::new(4.0, 8.0)));
+    let abstract_sub = Subscription::abstract_over(
+        SubId(10),
+        [(AttrId(3), ValueRange::new(0.0, 1.0))],
+        region,
+        60,
+        Some(5.0),
+    )
+    .expect("valid abstract sub");
+    let op = Operator::from_subscription(&abstract_sub);
+    let event = |id: u64| Event {
+        id: EventId(id),
+        sensor: SensorId(7),
+        attr: AttrId(3),
+        location: Point::new(1.5, -2.0),
+        value: 0.5,
+        timestamp: Timestamp(1_000 + id),
+    };
+    vec![
+        PubSubMsg::SensorUp(adv),
+        PubSubMsg::Adv(adv),
+        PubSubMsg::SensorDown(SensorId(7)),
+        PubSubMsg::AdvDown(SensorId(7), 2),
+        PubSubMsg::AdvRepair(adv, 3),
+        PubSubMsg::Move(adv, 4),
+        PubSubMsg::Subscribe(sub),
+        PubSubMsg::Operator(op.clone()),
+        PubSubMsg::Unsubscribe(SubId(9)),
+        PubSubMsg::RemoveOperator(op.key()),
+        PubSubMsg::Publish(event(1)),
+        PubSubMsg::Events(vec![event(1), event(2)]),
+    ]
+}
+
+/// The pub/sub wire format, byte for byte: one fixed frame per variant.
+/// Round-trips cannot see a reordered tag table or a re-laid-out payload;
+/// this can. The host's byte counts rest on these frames.
+#[test]
+fn pubsub_frames_are_pinned_byte_for_byte() {
+    let got: Vec<String> = pinned_pubsub_frames()
+        .iter()
+        .map(|m| hex(m.to_frame().as_slice()))
+        .collect();
+    let want = [
+        "000000000700033ff8000000000000c000000000000000",
+        "010000000700033ff8000000000000c000000000000000",
+        "0200000007",
+        "03000000070000000000000002",
+        "040000000700033ff8000000000000c0000000000000000000000000000003",
+        "050000000700033ff8000000000000c0000000000000000000000000000004",
+        "0600000000000000090000010000000007bff0000000000000400400000000000000000000000000001e00",
+        "07000000000000000a01000101000300000000000000003ff0000000000000010000000000000000000000000000000040100000000000004020000000000000000000000000003c014014000000000000",
+        "080000000000000009",
+        "09000000000000000a0001010003",
+        "0a00000000000000010000000700033ff8000000000000c0000000000000003fe000000000000000000000000003e9",
+        "0b0000000200000000000000010000000700033ff8000000000000c0000000000000003fe000000000000000000000000003e900000000000000020000000700033ff8000000000000c0000000000000003fe000000000000000000000000003ea",
+    ];
+    assert_eq!(got.len(), want.len(), "one frame per variant");
+    for (tag, (got, want)) in got.iter().zip(want).enumerate() {
+        assert_eq!(got, want, "tag {tag} frame changed");
+    }
 }

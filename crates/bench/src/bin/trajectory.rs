@@ -1,0 +1,148 @@
+//! The benchmark trajectory: every `BENCH_<pr>.json` in a directory
+//! (default `.`), in PR order — `trajectory [DIR]`.
+//!
+//! For each workload × end-to-end metric it prints every file's median and
+//! each step's ratio to the file before; a step worse than the metric's own
+//! `bound` (in its `direction`) is flagged `!`. Each `end_to_end` record is
+//! one line, parsed on its own. It reports and never gates: exit 0, or 2 on
+//! a bad argument or an unreadable file.
+
+use std::path::Path;
+use std::process::ExitCode;
+
+/// One `end_to_end` record.
+#[derive(Debug, PartialEq)]
+struct Record {
+    workload: String,
+    metric: String,
+    median: f64,
+    bound: f64,
+    lower_is_better: bool,
+}
+
+/// The value of `"key": …` on one line: a string's contents or a bare number.
+fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let rest = &line[line.find(&format!("\"{key}\": "))? + key.len() + 4..];
+    match rest.strip_prefix('"') {
+        Some(text) => text.split('"').next(),
+        None => rest.split([',', '}']).next().map(str::trim),
+    }
+}
+
+fn parse(line: &str) -> Option<Record> {
+    Some(Record {
+        workload: field(line, "workload")?.to_string(),
+        metric: field(line, "metric")?.to_string(),
+        median: field(line, "median")?.parse().ok()?,
+        bound: field(line, "bound")?.parse().ok()?,
+        lower_is_better: field(line, "direction")? == "lower",
+    })
+}
+
+fn pr_of(path: &Path) -> Option<u32> {
+    let name = path.file_name()?.to_str()?;
+    let pr = name.strip_prefix("BENCH_")?.strip_suffix(".json")?;
+    pr.parse().ok()
+}
+
+/// Every `BENCH_<pr>.json` in the one directory argument (default `.`), in
+/// PR order, each with its records.
+fn load(args: &[String]) -> Result<Vec<(u32, Vec<Record>)>, String> {
+    let dir = match args {
+        [] => ".",
+        [dir] if !dir.starts_with('-') => dir,
+        _ => return Err(format!("bad arguments {args:?}")),
+    };
+    let mut files = Vec::new();
+    let entries = std::fs::read_dir(dir).map_err(|e| format!("{dir}: {e}"))?;
+    for path in entries.flatten().map(|entry| entry.path()) {
+        let Some(pr) = pr_of(&path) else { continue };
+        let shown = path.display();
+        let text = std::fs::read_to_string(&path).map_err(|e| format!("{shown}: {e}"))?;
+        let records: Vec<Record> = text.lines().filter_map(parse).collect();
+        if records.is_empty() {
+            return Err(format!("{shown}: no end_to_end records"));
+        }
+        files.push((pr, records));
+    }
+    files.sort_by_key(|&(pr, _)| pr);
+    Ok(files)
+}
+
+/// One line per workload × metric, in first-seen order: each file's median,
+/// then `×ratio` to the step before, `!` where that step is past the bound.
+fn report(files: &[(u32, Vec<Record>)]) -> String {
+    let mut keys: Vec<(&str, &str)> = Vec::new();
+    for r in files.iter().flat_map(|(_, records)| records) {
+        if !keys.contains(&(&r.workload, &r.metric)) {
+            keys.push((&r.workload, &r.metric));
+        }
+    }
+    let mut out = format!("{:<13} {:<22}", "workload", "metric");
+    for (pr, _) in files {
+        out += &format!("{:>20}", format!("#{pr}"));
+    }
+    out += "\n";
+    for (workload, metric) in keys {
+        out += &format!("{workload:<13} {metric:<22}");
+        let mut before: Option<&Record> = None;
+        for (_, records) in files {
+            let now = records
+                .iter()
+                .find(|r| r.workload == workload && r.metric == metric);
+            let cell = match (before, now) {
+                (_, None) => "-".to_string(),
+                (None, Some(r)) => format!("{:.4}", r.median),
+                (Some(b), Some(r)) => {
+                    let worse = (r.median - b.median) / b.median.abs();
+                    let worse = if r.lower_is_better { worse } else { -worse };
+                    let flag = if worse > r.bound { "!" } else { " " };
+                    format!("{:.4} ×{:.2}{flag}", r.median, r.median / b.median)
+                }
+            };
+            out += &format!("{cell:>20}");
+            before = now.or(before);
+        }
+        out += "\n";
+    }
+    out
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let loaded = load(&args).map_err(|e| eprintln!("trajectory: {e}\nusage: trajectory [DIR]"));
+    let Ok(files) = loaded else {
+        return ExitCode::from(2);
+    };
+    print!("{}", report(&files));
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn line(metric: &str, median: f64, direction: &str) -> Record {
+        let line = format!(
+            "    {{\"metric\": \"{metric}\", \"workload\": \"steady_sim\", \"unit\": \"1/s\", \
+             \"median\": {median}, \"min\": 1.0, \"samples\": [1.0, 2.0], \"bound\": 0.25, \
+             \"direction\": \"{direction}\"}},"
+        );
+        parse(&line).expect("a record")
+    }
+
+    #[test]
+    fn records_parse_and_steps_past_the_bound_are_flagged() {
+        let r = line("events_per_s", 5441.9, "higher");
+        assert!(r.median == 5441.9 && r.bound == 0.25 && !r.lower_is_better);
+        assert!(parse("{\"workload\": \"steady_sim\", \"correct\": true}").is_none());
+        let file = |tput, p50| vec![line("tput", tput, "higher"), line("p50", p50, "lower")];
+        let steps = [(22, 100.0, 10.0), (26, 70.0, 11.0), (32, 140.0, 20.0)];
+        let out = report(&steps.map(|(pr, tput, p50)| (pr, file(tput, p50))));
+        let rows: Vec<&str> = out.lines().collect();
+        assert!(rows[1].contains("70.0000 ×0.70!") && rows[1].contains("140.0000 ×2.00 "));
+        assert!(rows[2].contains("11.0000 ×1.10 ") && rows[2].contains("20.0000 ×1.82!"));
+        assert_eq!(pr_of(Path::new("x/BENCH_26.json")), Some(26));
+        assert_eq!(pr_of(Path::new("BASELINE.json")), None);
+    }
+}

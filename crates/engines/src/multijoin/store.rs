@@ -6,6 +6,7 @@
 
 use super::ops::MjKey;
 use fsf_model::{DimKey, Event, Operator, SubId};
+use fsf_subsumption::arrangement::place;
 use fsf_subsumption::{MatchMode, RangeIndex};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -77,8 +78,9 @@ impl MjStore {
         for d in stored.op.dims() {
             self.dim_index.entry(d).or_default().insert(key.clone());
             if let Some(p) = stored.op.predicate_for(&d) {
-                self.index
-                    .insert(d, p.range.min(), p.range.max(), key.clone());
+                let (lo, hi) = (p.range.min(), p.range.max());
+                let filed = place(&d, stored.op.region());
+                self.index.insert(d, filed, lo, hi, key.clone());
             }
         }
         self.uncovered.insert(key, stored);
@@ -105,7 +107,9 @@ impl MjStore {
     /// identical set in the identical order: [`MatchMode::LinearScan`]
     /// value-checks every operator the dimension index returns,
     /// [`MatchMode::Arrangement`] stabs the [`settle`](Self::settle)d range
-    /// index and post-filters through the same predicate check.
+    /// index at the event's value and location (each operator is filed
+    /// under its [`place`]) and post-filters through the same predicate
+    /// check.
     pub fn uncovered_matching<'a>(
         &'a self,
         mode: MatchMode,
@@ -130,7 +134,7 @@ impl MjStore {
                 .into_iter()
                 .flatten()
                 .for_each(offer),
-            MatchMode::Arrangement => self.index.stab(dim, event.value, offer),
+            MatchMode::Arrangement => self.index.stab(dim, event.value, &event.location, offer),
         }
         out[start..].sort_unstable_by_key(|&(key, _)| key);
     }
@@ -143,7 +147,13 @@ impl MjStore {
         for (key, stored) in &self.uncovered {
             for d in stored.op.dims() {
                 if let Some(p) = stored.op.predicate_for(&d) {
-                    fresh.insert(d, p.range.min(), p.range.max(), key.clone());
+                    fresh.insert(
+                        d,
+                        place(&d, stored.op.region()),
+                        p.range.min(),
+                        p.range.max(),
+                        key.clone(),
+                    );
                 }
             }
         }
@@ -179,7 +189,7 @@ impl MjStore {
                     self.dim_index.remove(&d);
                 }
             }
-            self.index.remove(&d, key);
+            self.index.remove(&d, place(&d, stored.op.region()), key);
         }
         Some(stored)
     }

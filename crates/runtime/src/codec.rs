@@ -112,32 +112,6 @@ pub fn decode_advertisement(buf: &mut Bytes) -> Option<Advertisement> {
     })
 }
 
-/// Encode a batch of events (length-prefixed), the payload of an
-/// `Events(…)` link message.
-#[must_use]
-pub fn encode_event_batch(events: &[Event]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + events.len() * EVENT_WIRE_SIZE);
-    buf.put_u32(events.len() as u32);
-    for e in events {
-        encode_event(e, &mut buf);
-    }
-    buf.freeze()
-}
-
-/// Decode a batch encoded by [`encode_event_batch`].
-#[must_use]
-pub fn decode_event_batch(mut buf: Bytes) -> Option<Vec<Event>> {
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let n = buf.get_u32() as usize;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(decode_event(&mut buf)?);
-    }
-    Some(out)
-}
-
 /// Append a subscription dimension key (1 tag byte + the id).
 pub fn encode_dim_key(key: &DimKey, buf: &mut BytesMut) {
     match key {
@@ -343,13 +317,18 @@ pub fn encode_events(events: &[Event], buf: &mut BytesMut) {
     }
 }
 
-/// Decode a length-prefixed event vector.
+/// Decode a length-prefixed event vector; `None` if the buffer is short —
+/// checked against the count before anything is allocated, so a count
+/// that lies high costs nothing.
 pub fn decode_events(buf: &mut Bytes) -> Option<Vec<Event>> {
     if buf.remaining() < 4 {
         return None;
     }
     let n = buf.get_u32() as usize;
-    let mut out = Vec::with_capacity(n.min(4096));
+    if n > buf.remaining() / EVENT_WIRE_SIZE {
+        return None;
+    }
+    let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(decode_event(buf)?);
     }
@@ -583,9 +562,12 @@ mod tests {
     #[test]
     fn batch_roundtrip() {
         let events: Vec<Event> = (0..5).map(ev).collect();
-        let encoded = encode_event_batch(&events);
-        assert_eq!(encoded.len(), 4 + 5 * EVENT_WIRE_SIZE);
-        assert_eq!(decode_event_batch(encoded), Some(events));
+        let mut buf = BytesMut::new();
+        encode_events(&events, &mut buf);
+        assert_eq!(buf.len(), 4 + 5 * EVENT_WIRE_SIZE);
+        let mut bytes = buf.freeze();
+        assert_eq!(decode_events(&mut bytes), Some(events));
+        assert_eq!(bytes.remaining(), 0);
     }
 
     #[test]
@@ -596,13 +578,27 @@ mod tests {
         let mut short = buf.freeze().slice(..EVENT_WIRE_SIZE - 1);
         assert_eq!(decode_event(&mut short), None);
 
-        let batch = encode_event_batch(&[e]);
-        assert_eq!(decode_event_batch(batch.slice(..batch.len() - 2)), None);
-        assert_eq!(decode_event_batch(Bytes::new()), None);
+        let mut batch = BytesMut::new();
+        encode_events(&[e], &mut batch);
+        let batch = batch.freeze();
+        assert_eq!(decode_events(&mut batch.slice(..batch.len() - 2)), None);
+        assert_eq!(decode_events(&mut Bytes::new()), None);
     }
 
     #[test]
     fn empty_batch_roundtrip() {
-        assert_eq!(decode_event_batch(encode_event_batch(&[])), Some(vec![]));
+        let mut buf = BytesMut::new();
+        encode_events(&[], &mut buf);
+        assert_eq!(decode_events(&mut buf.freeze()), Some(vec![]));
+    }
+
+    #[test]
+    fn a_count_past_the_payload_is_rejected_before_allocating() {
+        for n in [2, 1 << 20, u32::MAX] {
+            let mut buf = BytesMut::new();
+            buf.put_u32(n);
+            encode_event(&ev(1), &mut buf);
+            assert_eq!(decode_events(&mut buf.freeze()), None, "count {n}");
+        }
     }
 }

@@ -24,11 +24,11 @@
 //! subscriptions over the same attributes").
 //!
 //! The table is also the event path's candidate index: operators interned
-//! in a slab, a [`RangeIndex`] over their value ranges storing slab slots,
-//! and one rule for the data plane — *settle, then borrow*: `settle()`
-//! after the control plane mutated (O(1) when it did not), then any number
-//! of `&self` candidate queries that lend `&Operator`s out of the slab
-//! ([`arrangement`] has the details).
+//! in a slab, a [`RangeIndex`] over their value ranges and places storing
+//! slab slots, and one rule for the data plane — *settle, then borrow*:
+//! `settle()` after the control plane mutated (O(1) when it did not), then
+//! any number of `&self` candidate queries that lend `&Operator`s out of
+//! the slab ([`arrangement`] has the details).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

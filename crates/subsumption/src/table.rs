@@ -11,17 +11,21 @@
 //! signature groups, the per-dimension inverted index that event processing
 //! (Algorithm 5) uses to touch only operators referencing the incoming
 //! event's sensor or attribute type, and the shared [`RangeIndex`]
-//! arrangement over the operators' value ranges — stores slots, not keys.
-//! The per-reading candidate query therefore costs O(log ops + matches) in
-//! [`MatchMode::Arrangement`] and hands out `&Operator` borrows straight
-//! from the slab: no key is cloned, compared or looked up on the way.
+//! arrangement over the operators' value ranges and places — stores slots,
+//! not keys. Each predicate is filed under its [`place`]: the bounding
+//! rectangle of the operator's region on an attribute dimension, nothing on
+//! a sensor dimension or for `Region::All`. The per-reading candidate query
+//! therefore costs O(log ops + matches) in [`MatchMode::Arrangement`],
+//! visits only operators whose place holds the reading's location, and
+//! hands out `&Operator` borrows straight from the slab: no key is cloned,
+//! compared or looked up on the way.
 //!
 //! The data plane follows the arrangement's settle-then-borrow rule:
 //! [`OperatorTable::settle`] once per frame (`&mut`, O(1) when no operator
 //! came or went), then any number of [`OperatorTable::candidates`] queries
 //! through `&self`.
 
-use crate::arrangement::{MatchMode, RangeIndex};
+use crate::arrangement::{place, MatchMode, RangeIndex};
 use fsf_model::{DimKey, DimSignature, Event, Operator, OperatorKey};
 use std::collections::BTreeMap;
 
@@ -76,7 +80,9 @@ impl OperatorTable {
         });
         for p in op.predicates() {
             self.by_dim.entry(p.key).or_default().push(slot);
-            self.index.insert(p.key, p.range.min(), p.range.max(), slot);
+            let (lo, hi) = (p.range.min(), p.range.max());
+            self.index
+                .insert(p.key, place(&p.key, op.region()), lo, hi, slot);
         }
         self.by_sig.entry(key.dims.clone()).or_default().push(slot);
         self.by_key.insert(key, slot);
@@ -120,7 +126,7 @@ impl OperatorTable {
         unlink(&mut self.by_sig, &key.dims, slot);
         for d in op.dims() {
             unlink(&mut self.by_dim, &d, slot);
-            self.index.remove(&d, &slot);
+            self.index.remove(&d, place(&d, op.region()), &slot);
         }
         self.free.push(slot);
         Some(op)
@@ -141,10 +147,10 @@ impl OperatorTable {
     /// differential battery in `tests/matching_equivalence.rs` holds them to
     /// that): [`MatchMode::LinearScan`] walks the inverted index and
     /// value-checks every operator; [`MatchMode::Arrangement`] stabs the
-    /// range index and post-filters the hits through the same
-    /// [`fsf_model::Predicate::matches`] check, so region and
-    /// sensor/attribute constraints are enforced identically. Only the
-    /// survivors are sorted, by `(subscription, dims)`.
+    /// range index at the event's value and location and post-filters the
+    /// hits through the same [`fsf_model::Predicate::matches`] check, so
+    /// region and sensor/attribute constraints are enforced identically.
+    /// Only the survivors are sorted, by `(subscription, dims)`.
     ///
     /// # Panics
     /// In [`MatchMode::Arrangement`], if an insert or remove has not been
@@ -168,7 +174,7 @@ impl OperatorTable {
         };
         match mode {
             MatchMode::LinearScan => self.by_dim.get(dim).into_iter().flatten().for_each(offer),
-            MatchMode::Arrangement => self.index.stab(dim, event.value, offer),
+            MatchMode::Arrangement => self.index.stab(dim, event.value, &event.location, offer),
         }
         out[start..]
             .sort_unstable_by(|a, b| a.sub().cmp(&b.sub()).then_with(|| a.dims().cmp(b.dims())));
@@ -195,8 +201,15 @@ impl OperatorTable {
     pub fn arrangement_consistent(&self) -> bool {
         let mut fresh: RangeIndex<u32> = RangeIndex::new();
         for &slot in self.by_key.values() {
-            for p in self.op(slot).predicates() {
-                fresh.insert(p.key, p.range.min(), p.range.max(), slot);
+            let op = self.op(slot);
+            for p in op.predicates() {
+                fresh.insert(
+                    p.key,
+                    place(&p.key, op.region()),
+                    p.range.min(),
+                    p.range.max(),
+                    slot,
+                );
             }
         }
         self.index.same_entries(&fresh)

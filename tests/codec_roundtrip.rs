@@ -264,6 +264,38 @@ fn multi_event_frames_roundtrip_at_size() {
     });
 }
 
+/// An `Events` frame whose count claims more events than the frame holds
+/// decodes to `None`, however large the lie — up to `u32::MAX`, which
+/// must not reach an allocation sized by the wire.
+#[test]
+fn events_frames_whose_count_lies_high_are_rejected() {
+    let mut rng = StdRng::seed_from_u64(0xC0DE_C00A);
+    let events: Vec<Event> = (0..3).map(|_| rand_event(&mut rng)).collect();
+    let honest = PubSubMsg::Events(events.clone())
+        .to_frame()
+        .as_slice()
+        .to_vec();
+    let mj = MjMsg::Events(events.clone()).to_frame();
+    assert_eq!(honest, mj.as_slice(), "one codec");
+    let lie = |count: u32, body: &[u8]| {
+        let mut frame = vec![honest[0]];
+        frame.extend_from_slice(&count.to_be_bytes());
+        frame.extend_from_slice(body);
+        bytes::Bytes::from(frame)
+    };
+    assert_eq!(
+        PubSubMsg::from_frame(lie(3, &honest[5..])),
+        Some(PubSubMsg::Events(events))
+    );
+    for count in [4, 5, 1 << 16, u32::MAX - 1, u32::MAX] {
+        for body in [&honest[5..], &[][..]] {
+            let frame = lie(count, body);
+            assert_eq!(PubSubMsg::from_frame(frame.clone()), None, "count {count}");
+            assert_eq!(MjMsg::from_frame(frame), None, "count {count}");
+        }
+    }
+}
+
 #[test]
 fn coalescing_merges_exactly_the_batchable_frames() {
     let mut rng = StdRng::seed_from_u64(0xC0DE_C005);

@@ -12,7 +12,10 @@
 //!   [`fsf::subsumption::OperatorTable::candidates_for`] in both modes must
 //!   return the *same operators in the same order*, also after operators
 //!   were removed and others took over their slab slots; the multi-join
-//!   engine's `MjStore` is held to the same rows;
+//!   engine's `MjStore` is held to the same rows, over identified operators
+//!   and over a regional family whose operators the arrangement files by
+//!   place (shared, overlapping, nested and point-sized rectangles, discs,
+//!   `All`), probed on edges, corners and outside every region;
 //! * engine level — ≥ 30 seeded cases of random operator sets (overlapping,
 //!   nested, point and zero-width ranges) × reading streams, replayed on
 //!   all five engines twice: the event-at-a-time linear-scan oracle vs the
@@ -116,6 +119,126 @@ fn gen_table_case(rng: &mut StdRng) -> (Vec<Operator>, Vec<Operator>, Vec<DimKey
     (ops, late, dims)
 }
 
+/// The rectangle many regional operators share bit-for-bit (one bucket).
+const SHARED: (f64, f64, f64, f64) = (1.0, 1.0, 4.0, 3.0);
+
+/// A region of the regional table family: the shared rectangle, an
+/// overlapping one, one nested inside the shared one, a point-sized one, a
+/// disc, or the whole domain. Every coordinate sits on the half-integer
+/// lattice the readings below are drawn from, so readings land on edges and
+/// corners.
+fn gen_region(rng: &mut StdRng) -> Region {
+    let half = |rng: &mut StdRng, hi: u32| f64::from(rng.gen_range(0..=hi)) / 2.0;
+    let (x0, y0, x1, y1) = SHARED;
+    match rng.gen_range(0..8) {
+        0..=2 => Region::Rect(Rect::new(Point::new(x0, y0), Point::new(x1, y1))),
+        3 => {
+            let corner = Point::new(half(rng, 10), half(rng, 10));
+            let far = Point::new(corner.x + half(rng, 6), corner.y + half(rng, 6));
+            Region::Rect(Rect::new(corner, far))
+        }
+        4 => {
+            let corner = Point::new(x0 + half(rng, 4), y0 + half(rng, 2));
+            let far = Point::new(corner.x + half(rng, 2), corner.y + half(rng, 2));
+            Region::Rect(Rect::new(corner, far))
+        }
+        5 => {
+            let p = Point::new(half(rng, 12), half(rng, 12));
+            Region::Rect(Rect::new(p, p))
+        }
+        6 => Region::Circle {
+            center: Point::new(half(rng, 12), half(rng, 12)),
+            radius: f64::from(rng.gen_range(1..=3u32)),
+        },
+        _ => Region::All,
+    }
+}
+
+/// One regional table-level case: 36 operators — abstract ones over one or
+/// two of three attribute types in [`gen_region`]'s regions, and a few
+/// identified ones over sensor dimensions — split 24 / 12 as
+/// [`gen_table_case`] splits them.
+fn gen_regional_case(rng: &mut StdRng) -> (Vec<Operator>, Vec<Operator>, Vec<DimKey>) {
+    let mut ops: Vec<Operator> = (0..36u64)
+        .map(|i| {
+            let sub = SubId(i + 1);
+            if rng.gen_range(0..6) == 0 {
+                let filters = [(SensorId(rng.gen_range(1..=3)), lattice_range(rng))];
+                let named = Subscription::identified(sub, filters, 4).expect("one sensor");
+                return Operator::from_subscription(&named);
+            }
+            let first = rng.gen_range(0..3u16);
+            let attrs = if rng.gen_bool(0.5) {
+                vec![first]
+            } else {
+                vec![first, (first + 1) % 3]
+            };
+            let filters: Vec<_> = attrs
+                .iter()
+                .map(|&a| (AttrId(a), lattice_range(rng)))
+                .collect();
+            let region = gen_region(rng);
+            let s = Subscription::abstract_over(sub, filters, region, 4, None);
+            Operator::from_subscription(&s.expect("distinct attributes"))
+        })
+        .collect();
+    let mut dims: Vec<DimKey> = Vec::new();
+    for d in ops.iter().flat_map(Operator::dims) {
+        if !dims.contains(&d) {
+            dims.push(d);
+        }
+    }
+    let late = ops.split_off(24);
+    (ops, late, dims)
+}
+
+/// Readings for the regional family: on the half-integer lattice (edges,
+/// corners and point regions get hit), on the shared rectangle's corners
+/// and edges, or outside every region.
+fn gen_regional_stream(rng: &mut StdRng) -> Vec<Event> {
+    let (x0, y0, x1, y1) = SHARED;
+    (0..40u64)
+        .map(|i| {
+            let location = match rng.gen_range(0..6) {
+                0 => [(x0, y0), (x1, y1), (x0, y1), (x1, y0)][rng.gen_range(0..4usize)],
+                1 => [(x0, 2.0), (x1, 1.5), (2.5, y0), (3.0, y1)][rng.gen_range(0..4usize)],
+                2 => (-50.0, 80.0),
+                _ => (
+                    f64::from(rng.gen_range(-1..=13)) / 2.0,
+                    f64::from(rng.gen_range(-1..=13)) / 2.0,
+                ),
+            };
+            let sensor = rng.gen_range(0..3u32);
+            Event {
+                id: EventId(i + 1),
+                sensor: SensorId(sensor + 1),
+                attr: AttrId(rng.gen_range(0..3)),
+                location: Point::new(location.0, location.1),
+                value: lattice_value(rng),
+                timestamp: Timestamp(1_000 + i),
+            }
+        })
+        .collect()
+}
+
+/// A table-level family: how a case is drawn, and the readings that probe
+/// it. Identified operators over sensor dimensions come first (their seeds
+/// are the ones the battery always had); the regional family follows.
+type Family = (
+    fn(&mut StdRng) -> (Vec<Operator>, Vec<Operator>, Vec<DimKey>),
+    fn(&mut StdRng) -> Vec<Event>,
+);
+
+const FAMILIES: [Family; 2] = [
+    (gen_table_case, |rng| gen_stream(rng, 40, 3)),
+    (gen_regional_case, gen_regional_stream),
+];
+
+/// Every `(family, case)` pair, family by family.
+fn family_cases() -> impl Iterator<Item = (u64, u64)> {
+    (0..FAMILIES.len() as u64).flat_map(|family| (0..CASES).map(move |case| (family, case)))
+}
+
 /// The rows every table-level case is probed in: freshly loaded; a third of
 /// the operators removed; the latecomers — first, so they and not the
 /// returning operators take the freed slots — and half of the removed ones
@@ -127,10 +250,12 @@ const ROWS: [&str; 3] = ["loaded", "after removals", "after reinsertion"];
 /// in every row.
 #[test]
 fn table_candidates_agree_across_modes_on_random_sets() {
-    for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0x7AB1E ^ (case * 0x9E37_79B9));
+    let mut regional_hits = 0;
+    for (family, case) in family_cases() {
+        let (gen_case, gen_probes) = FAMILIES[family as usize];
+        let mut rng = StdRng::seed_from_u64(0x7AB1E ^ (case * 0x9E37_79B9) ^ (family << 40));
         let mut table = OperatorTable::new();
-        let (loaded, late, dims) = gen_table_case(&mut rng);
+        let (loaded, late, dims) = gen_case(&mut rng);
         for op in &loaded {
             table.insert(op.clone());
         }
@@ -149,10 +274,11 @@ fn table_candidates_agree_across_modes_on_random_sets() {
                 _ => {}
             }
             assert!(table.arrangement_consistent(), "case {case}: stale index");
-            for event in gen_stream(&mut rng, 40, 3) {
+            for event in gen_probes(&mut rng) {
                 for dim in &dims {
                     let scan = table.candidates_for(MatchMode::LinearScan, dim, &event);
                     let arr = table.candidates_for(MatchMode::Arrangement, dim, &event);
+                    regional_hits += usize::from(family == 1) * scan.len();
                     let scan_keys: Vec<_> = scan.iter().map(Operator::key).collect();
                     let arr_keys: Vec<_> = arr.iter().map(Operator::key).collect();
                     assert_eq!(
@@ -164,6 +290,10 @@ fn table_candidates_agree_across_modes_on_random_sets() {
             }
         }
     }
+    assert!(
+        regional_hits > 1_000,
+        "regional rows barely hit: {regional_hits}"
+    );
 }
 
 /// The same rows for the multi-join engine's per-origin store.
@@ -179,10 +309,11 @@ fn mj_store_candidates_agree_across_modes_on_random_sets() {
         role: StoredRole::FilterTransport,
         is_user_sub: false,
     };
-    for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0x7AB1E ^ (case * 0x9E37_79B9));
+    for (family, case) in family_cases() {
+        let (gen_case, gen_probes) = FAMILIES[family as usize];
+        let mut rng = StdRng::seed_from_u64(0x7AB1E ^ (case * 0x9E37_79B9) ^ (family << 40));
         let mut store = MjStore::new();
-        let (loaded, late, dims) = gen_table_case(&mut rng);
+        let (loaded, late, dims) = gen_case(&mut rng);
         for op in &loaded {
             store.insert_uncovered(key(op), stored(op));
         }
@@ -205,7 +336,7 @@ fn mj_store_candidates_agree_across_modes_on_random_sets() {
                 "case {case} {row}: stale index"
             );
             store.settle();
-            for event in gen_stream(&mut rng, 40, 3) {
+            for event in gen_probes(&mut rng) {
                 for dim in &dims {
                     let (mut scan, mut arr) = (Vec::new(), Vec::new());
                     store.uncovered_matching(MatchMode::LinearScan, dim, &event, &mut scan);

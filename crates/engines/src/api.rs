@@ -329,9 +329,9 @@ pub trait EngineControl {
     /// node behind a severed link or a long delay) matches no crash record
     /// and is ignored — its late pong re-admits it with no route loss.
     /// Pick `timeout ≥ period + 2 × the longest link delay` to avoid
-    /// false suspicion on healthy links. Simulator deployments require the
-    /// single-shard backend; the async host probes on management-plane
-    /// ticks instead of the virtual clock.
+    /// false suspicion on healthy links. Every simulator shard count beats
+    /// on the same virtual clock; the async host runs the same detector one
+    /// probe round of `period` units per management-plane tick instead.
     fn set_liveness(&mut self, period: u64, timeout: u64);
     /// Advance the virtual clock to `t`, delivering exactly the messages
     /// due at or before `t` and leaving later ones in flight (partial

@@ -36,9 +36,6 @@ pub(crate) struct AsyncEngine<P: Protocol> {
     /// Reported via [`EngineIntrospect::shards`]: executor workers, or 1
     /// in thread-per-node mode.
     workers: usize,
-    /// Probe the host's failure detector on every drain (set by
-    /// [`EngineControl::set_liveness`]).
-    liveness_on: bool,
     stats_cache: TrafficStats,
     deliveries_cache: DeliveryLog,
 }
@@ -66,7 +63,6 @@ impl<P: Protocol> AsyncEngine<P> {
             host,
             recovery: RecoveryPlane::new(),
             workers,
-            liveness_on: false,
             stats_cache: TrafficStats::new(),
             deliveries_cache: DeliveryLog::new(),
         }
@@ -88,13 +84,10 @@ impl<P: Protocol> AsyncEngine<P> {
         self.recovery.recoveries += 1;
     }
 
-    /// One probe round of the host's failure detector, its confirmations
-    /// fed into the recovery plane, and the drain of whatever recovery
-    /// traffic that started.
+    /// One probe round of the host's failure detector (a no-op with it
+    /// off), its confirmations fed into the recovery plane, and the drain
+    /// of whatever recovery traffic that started.
     fn drain_liveness(&mut self) {
-        if !self.liveness_on {
-            return;
-        }
         self.host.liveness_tick();
         let confirmed = self.host.take_confirmed_dead();
         let detected = self.recovery.take_detected(&confirmed);
@@ -220,7 +213,6 @@ impl<P: Protocol> EngineControl for AsyncEngine<P> {
     }
     fn set_liveness(&mut self, period: u64, timeout: u64) {
         self.host.set_liveness(period, timeout);
-        self.liveness_on = true;
     }
     fn run_until(&mut self, _t: u64) -> u64 {
         // free-running: no future traffic is held back, so the horizon is

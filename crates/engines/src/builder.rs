@@ -34,10 +34,13 @@ pub enum Deploy {
 pub enum ConfigError {
     /// A telemetry sink on a host deployment.
     SinkOnHost,
-    /// `shards > 1` on a host deployment.
+    /// `shards > 1` on a host deployment. It stays an error because there
+    /// is nothing for it to mean: host workers are sized by
+    /// [`Deploy::Async`]'s `workers`, and the host has no calendar queue to
+    /// shard.
     ShardsOnHost,
-    /// The heartbeat failure detector on a sharded simulator.
-    HeartbeatOnShards,
+    /// A heartbeat with a zero period or a zero suspicion timeout.
+    ZeroHeartbeat,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -51,9 +54,8 @@ impl std::fmt::Display for ConfigError {
                 "event-queue sharding is a simulator knob; size the host with \
                  Deploy::Async { workers } instead"
             }
-            ConfigError::HeartbeatOnShards => {
-                "heartbeat liveness requires the single-shard backend \
-                 (suspicion timeouts ride the global virtual clock)"
+            ConfigError::ZeroHeartbeat => {
+                "the heartbeat period and suspicion timeout must both be positive"
             }
         })
     }
@@ -75,11 +77,10 @@ impl std::error::Error for ConfigError {}
 /// ```
 ///
 /// Knob interactions: [`EngineBuilder::shards`] and
-/// [`EngineBuilder::sink`] are simulator features, and the heartbeat
-/// detector needs the single-shard simulator or a host
-/// ([`EngineBuilder::try_build`] returns the [`ConfigError`];
-/// [`EngineBuilder::build`] panics with it); [`EngineBuilder::mailbox`]
-/// only affects host deployments.
+/// [`EngineBuilder::sink`] are simulator features, and a heartbeat needs a
+/// positive period and timeout ([`EngineBuilder::try_build`] returns the
+/// [`ConfigError`]; [`EngineBuilder::build`] panics with it);
+/// [`EngineBuilder::mailbox`] only affects host deployments.
 pub struct EngineBuilder {
     kind: EngineKind,
     topology: Topology,
@@ -187,9 +188,9 @@ impl EngineBuilder {
 
     /// Enable the in-protocol heartbeat failure detector with the given
     /// ping period and suspicion timeout, both in virtual ticks — see
-    /// [`crate::EngineControl::set_liveness`]. Simulator deployments
-    /// require the single-shard backend; host deployments probe on
-    /// management-plane ticks instead.
+    /// [`crate::EngineControl::set_liveness`]. It runs on every simulator
+    /// shard count; host deployments probe on management-plane ticks
+    /// instead. Both values must be positive.
     #[must_use]
     pub fn heartbeat(mut self, period: u64, timeout: u64) -> Self {
         self.heartbeat = Some((period, timeout));
@@ -203,8 +204,8 @@ impl EngineBuilder {
             Err(ConfigError::SinkOnHost)
         } else if on_host && self.shards > 1 {
             Err(ConfigError::ShardsOnHost)
-        } else if self.heartbeat.is_some() && self.shards > 1 {
-            Err(ConfigError::HeartbeatOnShards)
+        } else if matches!(self.heartbeat, Some((0, _) | (_, 0))) {
+            Err(ConfigError::ZeroHeartbeat)
         } else {
             Ok(())
         }
@@ -325,10 +326,13 @@ mod tests {
                         b = b.heartbeat(4, 12);
                     }
                     let on_host = deploy != Deploy::Simulator;
+                    // `ShardsOnHost` is the one rule left that no future
+                    // feature removes: host workers are sized by
+                    // `Deploy::Async { workers }`, and the host has no
+                    // calendar queue to shard
                     let broken: Vec<ConfigError> = [
                         (on_host && sink, ConfigError::SinkOnHost),
                         (on_host && shards > 1, ConfigError::ShardsOnHost),
-                        (heartbeat && shards > 1, ConfigError::HeartbeatOnShards),
                     ]
                     .into_iter()
                     .filter_map(|(breaks, rule)| breaks.then_some(rule))
@@ -351,8 +355,33 @@ mod tests {
         assert_eq!(built + rejected, 5 * 3 * 16);
         assert_eq!(
             built,
-            5 * (12 + 2 * 4),
-            "of 16 cells: 12 on the simulator, 4 on each host"
+            5 * (16 + 2 * 4),
+            "of 16 cells: all 16 on the simulator, 4 on each host"
         );
+    }
+
+    /// A zero heartbeat period or timeout is a `ConfigError` on every
+    /// deployment, never a panic inside `try_build`.
+    #[test]
+    fn a_zero_heartbeat_is_a_config_error() {
+        let deploys = [
+            Deploy::Simulator,
+            Deploy::Threaded,
+            Deploy::Async { workers: 2 },
+        ];
+        for deploy in deploys {
+            for (period, timeout) in [(0, 12), (4, 0)] {
+                let built = EngineKind::FilterSplitForward
+                    .builder(builders::balanced(7, 2))
+                    .deploy(deploy)
+                    .heartbeat(period, timeout)
+                    .try_build();
+                assert_eq!(
+                    built.err(),
+                    Some(ConfigError::ZeroHeartbeat),
+                    "{deploy:?} heartbeat({period}, {timeout})"
+                );
+            }
+        }
     }
 }

@@ -32,13 +32,17 @@
 //!   queue disciplines picked from the requested shard count;
 //! * `heap` — the 1-shard discipline: a timestamped priority queue ordered
 //!   by `(deliver_at, seq)`, whose zero-latency mode reproduces the legacy
-//!   run-to-quiescence FIFO order exactly, plus the heartbeat failure
-//!   detector (see the `sim` module docs for the event-clock semantics,
-//!   the tie-breaking rule, and the compat guarantee);
+//!   run-to-quiescence FIFO order exactly (see the `sim` module docs for
+//!   the event-clock semantics, the tie-breaking rule, and the compat
+//!   guarantee);
 //! * [`shard`] — the many-shard discipline: a [`ShardPlan`] of connected
 //!   subtrees, per-shard calendar queues, and conservative Chandy–Misra
 //!   lookahead rounds that advance shards on worker threads while staying
-//!   event-for-event equal to the heap.
+//!   event-for-event equal to the heap;
+//! * [`liveness`] — the heartbeat failure detector as one pure state
+//!   machine (suspicion, unanimity of live neighbors, re-admission), driven
+//!   by the simulator's beat on every shard count and by the async host's
+//!   probe rounds.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -46,6 +50,7 @@
 pub mod builders;
 mod heap;
 pub mod latency;
+pub mod liveness;
 pub mod node;
 pub mod shard;
 pub mod sim;

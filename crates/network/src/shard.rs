@@ -40,7 +40,7 @@
 
 use crate::latency::LatencyModel;
 use crate::node::{Ctx, DeliveryLog, NodeBehavior};
-use crate::sim::{Counters, Net};
+use crate::sim::{Counters, Net, Payload};
 use crate::topology::{NodeId, Topology};
 use crate::traffic::{ChargeKind, TrafficStats};
 use fsf_model::EventId;
@@ -166,7 +166,7 @@ struct Entry<M> {
     /// Causality id (see [`fsf_telemetry::flood_id`]): minted at injection,
     /// inherited by every downstream send.
     flood: u64,
-    msg: M,
+    msg: Payload<M>,
 }
 
 /// Per-shard state: the nodes it owns, its calendar queue, and its private
@@ -191,6 +191,9 @@ struct ShardState<B: NodeBehavior, S: TelemetrySink> {
     /// Cross-shard sends produced this round: `(deliver_at, dest_shard,
     /// entry)`, routed at the round barrier in shard-id order.
     outgoing: Vec<(u64, usize, Entry<B::Msg>)>,
+    /// Pongs heard this pump, `(observer, peer, at)`, handed to the
+    /// failure detector when the pump ends.
+    heard: Vec<(NodeId, NodeId, u64)>,
 }
 
 impl<B: NodeBehavior, S: TelemetrySink> ShardState<B, S> {
@@ -207,6 +210,7 @@ impl<B: NodeBehavior, S: TelemetrySink> ShardState<B, S> {
             stats: TrafficStats::new(),
             deliveries: DeliveryLog::new(),
             outgoing: Vec::new(),
+            heard: Vec::new(),
         }
     }
 
@@ -271,18 +275,28 @@ impl<B: NodeBehavior, S: TelemetrySink> ShardState<B, S> {
                     continue;
                 }
                 handled += 1;
-                let slot = node_slot[entry.to.0 as usize] as usize;
                 let deliveries_before = self.deliveries.complex_deliveries();
-                {
-                    let mut ctx = Ctx::external(
-                        entry.to,
-                        topology.neighbors(entry.to),
-                        t,
-                        &mut outbox,
-                        &mut self.deliveries,
-                    );
-                    self.nodes[slot].on_message(entry.from, entry.msg, &mut ctx);
-                }
+                // a ping is answered below the app layer — the node is
+                // alive, so a pong heads back — and a pong is heard
+                let pong = match entry.msg {
+                    Payload::App(msg) => {
+                        let slot = node_slot[entry.to.0 as usize] as usize;
+                        let mut ctx = Ctx::external(
+                            entry.to,
+                            topology.neighbors(entry.to),
+                            t,
+                            &mut outbox,
+                            &mut self.deliveries,
+                        );
+                        self.nodes[slot].on_message(entry.from, msg, &mut ctx);
+                        None
+                    }
+                    Payload::Ping => Some((entry.from, Payload::Pong, ChargeKind::Liveness, 1)),
+                    Payload::Pong => {
+                        self.heard.push((entry.to, entry.from, t));
+                        None
+                    }
+                };
                 if S::ENABLED {
                     self.sink.record(TelemetryEvent::Handled {
                         at: t,
@@ -293,7 +307,10 @@ impl<B: NodeBehavior, S: TelemetrySink> ShardState<B, S> {
                         deliveries: self.deliveries.complex_deliveries() - deliveries_before,
                     });
                 }
-                for (to, msg, kind, units) in outbox.drain(..) {
+                let sends = outbox
+                    .drain(..)
+                    .map(|(to, m, kind, u)| (to, Payload::App(m), kind, u));
+                for (to, msg, kind, units) in pong.into_iter().chain(sends) {
                     self.stats.charge(kind, entry.to, to, units);
                     let at = t + latency.delay(entry.to, to);
                     let e = Entry {
@@ -529,15 +546,16 @@ where
     }
 
     /// Enqueue one send made outside the rounds (injection, recovery,
-    /// link-up reconciliation), minting a fresh causal flood in the sender
-    /// shard's sequence space. Honors the severed-at-the-radio drop rule.
+    /// link-up reconciliation, heartbeat ping), minting a fresh causal flood
+    /// in the sender shard's sequence space. Honors the severed-at-the-radio
+    /// drop rule.
     #[allow(clippy::too_many_arguments)] // one enqueue, fully described
     pub(crate) fn schedule_external(
         &mut self,
         net: &mut Net<'_, S>,
         from: NodeId,
         to: NodeId,
-        msg: B::Msg,
+        msg: Payload<B::Msg>,
         deliver_at: u64,
         class: TrafficClass,
         units: u64,
@@ -641,17 +659,17 @@ where
         queued_to.into_iter().max_by_key(|&(_, d)| d)
     }
 
-    /// Round-based conservative pump (see the module docs). Returns the
-    /// number of messages handled, and whether it stopped because the next
-    /// round would exceed `budget` pops.
+    /// Round-based conservative pump (see the module docs), popping at
+    /// most `budget` entries (decremented in place). Returns the number of
+    /// messages handled, and whether it stopped because the next round
+    /// would exceed the budget.
     pub(crate) fn run_rounds(
         &mut self,
         horizon: Option<u64>,
-        budget: u64,
-        net: Net<'_, S>,
+        budget: &mut u64,
+        mut net: Net<'_, S>,
     ) -> (u64, bool) {
         let mut total_handled = 0u64;
-        let mut total_popped = 0u64;
         let mut out_of_budget = false;
         loop {
             let heads: Vec<Option<u64>> = self.shards.iter().map(ShardState::head).collect();
@@ -661,13 +679,13 @@ where
             if horizon.is_some_and(|t| gmin > t) {
                 break;
             }
-            if total_popped >= budget {
+            if *budget == 0 {
                 // at the barrier: every handoff is routed, depths are exact
                 out_of_budget = true;
                 break;
             }
             let caps = self.round_caps(&heads, horizon);
-            let budget = budget - total_popped;
+            let left = *budget;
             // Boolean bitmap, not a membership list: the threaded branch
             // below checks every shard index against it, and a
             // `Vec::contains` scan there is O(shards²) per round.
@@ -699,7 +717,7 @@ where
                                 idx,
                                 sc.spawn(move || {
                                     shard.advance(
-                                        cap, budget, topology, latency, plan, node_slot, down,
+                                        cap, left, topology, latency, plan, node_slot, down,
                                     )
                                 }),
                             ));
@@ -716,7 +734,7 @@ where
                     for idx in (0..shards.len()).filter(|&s| runnable[s]) {
                         let (hd, pp) = shards[idx].advance(
                             caps[idx].0,
-                            budget,
+                            left,
                             topology,
                             latency,
                             plan,
@@ -730,7 +748,8 @@ where
                 }
             }
             total_handled += round_handled;
-            total_popped += round_popped;
+            // every runnable shard may pop up to the whole remaining budget
+            *budget = budget.saturating_sub(round_popped);
             if S::ENABLED {
                 // one profile per shard that had work queued this round —
                 // stalled shards (blocked by a neighbor's bound) show up
@@ -761,12 +780,16 @@ where
                 }
             }
         }
-        // drain the per-shard clocks, counters and logs into the merged ones
+        // drain the per-shard clocks, counters, logs and heard pongs into
+        // the merged ones
         for shard in &mut self.shards {
             *net.now = (*net.now).max(shard.last_tick);
             net.stats.merge(&std::mem::take(&mut shard.stats));
             shard.deliveries.drain_into(net.deliveries);
             net.counts.absorb(std::mem::take(&mut shard.counts));
+            for (observer, peer, at) in shard.heard.drain(..) {
+                net.heard(observer, peer, at);
+            }
         }
         (total_handled, out_of_budget)
     }

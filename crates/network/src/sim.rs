@@ -10,10 +10,16 @@
 //! * the **heap** (`heap.rs`, 1 shard): one timestamped priority
 //!   queue popped in `(deliver_at, seq)` order, where `seq` is a global
 //!   monotone sequence number assigned at scheduling time — the
-//!   determinism oracle, and the only discipline with heartbeats;
+//!   determinism oracle;
 //! * the **shards** ([`crate::shard`], more): per-subtree calendar queues
 //!   advanced concurrently in conservative lookahead rounds, held
 //!   event-for-event equal to the heap by `tests/sharded_equality.rs`.
+//!
+//! **Heartbeats.** The beat lives here, once for both disciplines: a pump
+//! runs the queue up to the tick before the next beat, every live node
+//! pings every neighbor through the queue's fresh-enqueue seam, and the
+//! [`crate::liveness::Detector`] sweeps. On the shards the beat is a round
+//! barrier, because the pump's horizon already stops every shard before it.
 //!
 //! **Event-clock semantics.** The virtual clock [`Simulator::now`] only
 //! moves forward, to the `deliver_at` of the message being processed (or to
@@ -43,6 +49,7 @@
 
 use crate::heap::Heap;
 use crate::latency::LatencyModel;
+use crate::liveness::Detector;
 use crate::node::{Ctx, DeliveryLog, NodeBehavior};
 use crate::shard::Shards;
 use crate::topology::{NodeId, RegraftDelta, Topology, TopologyError};
@@ -75,6 +82,18 @@ impl Counters {
     }
 }
 
+/// What travels on a link: an application message, or one leg of the
+/// heartbeat exchange. Pings and pongs ride the queue like any message
+/// (latency, severed links and crash drops all apply — that is what makes
+/// the suspicion signal honest) but are answered below [`NodeBehavior`]:
+/// node logic never sees them.
+#[derive(Debug, Clone)]
+pub(crate) enum Payload<M> {
+    App(M),
+    Ping,
+    Pong,
+}
+
 /// What a queue discipline sees of the shared layer while it enqueues,
 /// purges or pumps.
 pub(crate) struct Net<'a, S> {
@@ -86,6 +105,24 @@ pub(crate) struct Net<'a, S> {
     pub(crate) deliveries: &'a mut DeliveryLog,
     pub(crate) counts: &'a mut Counters,
     pub(crate) now: &'a mut u64,
+    pub(crate) liveness: Option<&'a mut Detector>,
+}
+
+impl<S: TelemetrySink> Net<'_, S> {
+    /// Hand one pong, heard by `observer` from `peer` at `at`, to the
+    /// failure detector, and record the suspicion it cleared.
+    pub(crate) fn heard(&mut self, observer: NodeId, peer: NodeId, at: u64) {
+        let Some(detector) = self.liveness.as_deref_mut() else {
+            return;
+        };
+        if detector.heard(observer, peer, at, !self.down.contains(&peer)) && S::ENABLED {
+            self.sink.record(TelemetryEvent::SuspicionCleared {
+                at,
+                by: observer.0,
+                node: peer.0,
+            });
+        }
+    }
 }
 
 /// The two queue disciplines (see the module docs).
@@ -119,6 +156,8 @@ pub struct Simulator<B: NodeBehavior, S: TelemetrySink = Noop> {
     max_steps_per_run: u64,
     down: BTreeSet<NodeId>,
     counts: Counters,
+    /// Heartbeat failure detector, off by default (zero overhead when off).
+    liveness: Option<Detector>,
     queue: Queue<B, S>,
 }
 
@@ -192,6 +231,7 @@ where
             max_steps_per_run: Self::DEFAULT_MAX_STEPS,
             down: BTreeSet::new(),
             counts: Counters::default(),
+            liveness: None,
             queue,
         }
     }
@@ -339,6 +379,7 @@ where
             deliveries: &mut self.deliveries,
             counts: &mut self.counts,
             now: &mut self.now,
+            liveness: self.liveness.as_mut(),
         };
         (&mut self.queue, net)
     }
@@ -350,14 +391,14 @@ where
         &mut self,
         from: NodeId,
         to: NodeId,
-        msg: B::Msg,
+        msg: Payload<B::Msg>,
         deliver_at: u64,
         class: TrafficClass,
         units: u64,
     ) {
         let (queue, mut net) = self.split();
         match queue {
-            Queue::Heap(h) => h.schedule_fresh(&mut net, from, to, msg, deliver_at, class, units),
+            Queue::Heap(h) => h.schedule(&mut net, from, to, msg, deliver_at, None, class, units),
             Queue::Shards(s) => {
                 s.schedule_external(&mut net, from, to, msg, deliver_at, class, units);
             }
@@ -389,6 +430,7 @@ where
         for (to, msg, kind, units) in outbox.drain(..) {
             self.stats.charge(kind, node, to, units);
             let deliver_at = self.now + self.latency.delay(node, to);
+            let msg = Payload::App(msg);
             self.enqueue_fresh(node, to, msg, deliver_at, kind.traffic_class(), units);
         }
         (
@@ -461,25 +503,22 @@ where
     /// when a pong next gets through.
     ///
     /// Pick `timeout ≥ period + 2 × max link delay` to avoid false
-    /// suspicion on healthy links.
+    /// suspicion on healthy links. The first beat fires one `period` from
+    /// now.
     ///
     /// # Panics
-    /// Panics on the shards discipline — the beat emitter rides the heap's
-    /// global clock (a port to the round barrier is a ROADMAP follow-on).
+    /// Panics when `period` or `timeout` is zero.
     pub fn set_liveness(&mut self, period: u64, timeout: u64) {
-        match &mut self.queue {
-            Queue::Heap(h) => h.set_liveness(period, timeout, self.now),
-            Queue::Shards(_) => panic!("heartbeat liveness requires the single-shard backend"),
-        }
+        self.liveness = Some(Detector::new(period, timeout, self.now));
     }
 
     /// Currently active directed suspicions, `(observer, suspect)` sorted.
     #[must_use]
     pub fn suspicions(&self) -> Vec<(NodeId, NodeId)> {
-        match &self.queue {
-            Queue::Heap(h) => h.suspicions(),
-            Queue::Shards(_) => Vec::new(),
-        }
+        self.liveness
+            .as_ref()
+            .map(Detector::suspicions)
+            .unwrap_or_default()
     }
 
     /// Drain the nodes newly confirmed dead by the failure detector (every
@@ -487,9 +526,40 @@ where
     /// with its crash records before triggering recovery, so a falsely
     /// confirmed-but-alive node (a partitioned leaf) costs nothing.
     pub fn take_confirmed_dead(&mut self) -> Vec<NodeId> {
-        match &mut self.queue {
-            Queue::Heap(h) => h.take_confirmed_dead(),
-            Queue::Shards(_) => Vec::new(),
+        self.liveness
+            .as_mut()
+            .map(Detector::take_confirmed)
+            .unwrap_or_default()
+    }
+
+    /// Fire one heartbeat at tick `t`: every live node pings every
+    /// neighbor (a severed link eats the ping at the radio — that absence
+    /// is the partition signal), then the detector sweeps.
+    fn beat(&mut self, t: u64) {
+        self.now = self.now.max(t);
+        for a in (0..self.topology.len() as u32).map(NodeId) {
+            if self.down.contains(&a) {
+                continue;
+            }
+            for b in self.topology.neighbors(a).to_vec() {
+                self.stats.charge(ChargeKind::Liveness, a, b, 1);
+                let deliver_at = self.now + self.latency.delay(a, b);
+                self.enqueue_fresh(a, b, Payload::Ping, deliver_at, TrafficClass::Liveness, 1);
+            }
+        }
+        let detector = self
+            .liveness
+            .as_mut()
+            .expect("beats fire only with liveness on");
+        let raised = detector.sweep(t, &self.topology, |n| self.down.contains(&n));
+        if S::ENABLED {
+            for (by, node) in raised {
+                self.sink.record(TelemetryEvent::Suspected {
+                    at: t,
+                    by: by.0,
+                    node: node.0,
+                });
+            }
         }
     }
 
@@ -610,25 +680,42 @@ where
             return;
         }
         let at = at.max(self.now);
-        self.enqueue_fresh(node, node, msg, at, TrafficClass::Inject, 1);
+        self.enqueue_fresh(node, node, Payload::App(msg), at, TrafficClass::Inject, 1);
     }
 
     /// Pump the active queue to `horizon` (if any) or quiescence, then
     /// settle the delivery log. Returns the number of messages handled.
     ///
+    /// With liveness on, the queue runs in chunks that end just before the
+    /// next beat. The beat fires when the horizon covers it, or, with no
+    /// horizon, when messages are still queued: with an empty queue and no
+    /// horizon the network is quiescent and beats wait for time to be
+    /// driven forward ([`Self::run_until`]), so quiescence stays reachable.
+    /// The chunk's internal horizon never moves the clock.
+    ///
     /// # Panics
     /// Panics with [`Self::runaway_report`] when the pump would pop more
     /// than the step budget.
     fn pump(&mut self, horizon: Option<u64>) -> u64 {
-        let budget = self.max_steps_per_run;
-        let (queue, net) = self.split();
-        let (handled, out_of_budget) = match queue {
-            Queue::Heap(h) => h.pump(horizon, budget, net),
-            Queue::Shards(s) => s.run_rounds(horizon, budget, net),
-        };
-        self.deliveries.settle();
-        if out_of_budget {
-            panic!("{}", self.runaway_report());
+        let mut budget = self.max_steps_per_run;
+        let mut handled = 0;
+        loop {
+            let beat = self.liveness.as_ref().map(Detector::next_beat);
+            let until = horizon.into_iter().chain(beat.map(|b| b - 1)).min();
+            let (queue, net) = self.split();
+            let (chunk, out_of_budget) = match queue {
+                Queue::Heap(h) => h.pump(until, &mut budget, net),
+                Queue::Shards(s) => s.run_rounds(until, &mut budget, net),
+            };
+            handled += chunk;
+            self.deliveries.settle();
+            if out_of_budget {
+                panic!("{}", self.runaway_report());
+            }
+            match beat {
+                Some(b) if horizon.map_or(self.queue_depth() > 0, |t| b <= t) => self.beat(b),
+                _ => break,
+            }
         }
         if let Some(t) = horizon {
             self.now = self.now.max(t);

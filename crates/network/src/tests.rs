@@ -651,3 +651,106 @@ fn management_plane_verbs_conserve_and_match_the_one_shard_run() {
         assert_eq!(management_plane_script(shards), oracle, "{shards} shards");
     }
 }
+
+/// Run a heartbeat `script` on `line(3)` at every shard count under both
+/// latency models (zero latency coalesces to one calendar; one tick per hop
+/// really splits the line), and hold each run's suspicions, the
+/// confirmations the script drained, its steps and its heartbeat traffic
+/// equal to the 1-shard run's.
+fn heartbeat_rows(script: impl Fn(&mut Simulator<Flood>, &str) -> Vec<NodeId>) {
+    for latency in [LatencyModel::Zero, LatencyModel::Uniform { hop: 1 }] {
+        let mut oracle = None;
+        for shards in SHARDS {
+            let ctx = format!("{latency:?} at {shards} shards");
+            let mut sim = flood_sim(builders::line(3), latency.clone(), shards);
+            sim.set_liveness(10, 25);
+            let confirmed = script(&mut sim, &ctx);
+            assert_conserved(&sim, &format!("{ctx} with heartbeat traffic in the ledger"));
+            assert!(
+                sim.stats.liveness_msgs() > 0,
+                "{ctx}: heartbeats are charged"
+            );
+            let run = (
+                sim.suspicions(),
+                confirmed,
+                sim.steps(),
+                sim.stats.liveness_msgs(),
+            );
+            assert_eq!(&run, oracle.get_or_insert_with(|| run.clone()), "{ctx}");
+        }
+    }
+}
+
+#[test]
+fn heartbeats_confirm_a_crashed_node_and_clear_false_suspicion() {
+    // enable liveness, crash n2, drive time past the timeout — n1 (its
+    // only live neighbor) must confirm it dead
+    heartbeat_rows(|sim, ctx| {
+        sim.crash_and_regraft(NodeId(2), NodeId(1)).unwrap();
+        sim.run_until(100);
+        assert!(sim.suspicions().contains(&(NodeId(1), NodeId(2))), "{ctx}");
+        let confirmed = sim.take_confirmed_dead();
+        assert_eq!(confirmed, vec![NodeId(2)], "{ctx}");
+        assert!(sim.take_confirmed_dead().is_empty(), "{ctx}: drained once");
+        // healthy pairs never suspected each other
+        assert!(!sim.suspicions().contains(&(NodeId(0), NodeId(1))), "{ctx}");
+        confirmed
+    });
+}
+
+#[test]
+fn false_suspicion_across_a_severed_link_clears_after_heal() {
+    // partition a live leaf: its neighbor falsely confirms it dead; after
+    // heal the next pong re-admits it with no state change
+    heartbeat_rows(|sim, ctx| {
+        sim.sever_link(NodeId(1), NodeId(2)).unwrap();
+        sim.run_until(100);
+        assert!(sim.suspicions().contains(&(NodeId(1), NodeId(2))), "{ctx}");
+        assert!(sim.suspicions().contains(&(NodeId(2), NodeId(1))), "{ctx}");
+        let confirmed = sim.take_confirmed_dead();
+        assert_eq!(
+            confirmed,
+            vec![NodeId(2)],
+            "{ctx}: a severed leaf is indistinguishable from a corpse — the \
+             engine layer must intersect with real crash records"
+        );
+        sim.heal_link(NodeId(1), NodeId(2)).unwrap();
+        sim.run_until(200);
+        assert!(
+            sim.suspicions().is_empty(),
+            "{ctx}: pongs cleared both directions"
+        );
+        assert!(sim.take_confirmed_dead().is_empty(), "{ctx}");
+        // suspicion is observation, not mutation: the only thing n2 ever
+        // heard is its peer's link-up offer
+        assert_eq!(sim.node(NodeId(2)).seen, vec![2001], "{ctx}");
+        confirmed
+    });
+}
+
+#[test]
+fn heartbeats_run_on_the_shards_discipline() {
+    // a healthy tree really split across shards: beats ride the round
+    // barrier, no link is ever suspected, and the clock only moves with
+    // the horizon
+    for shards in SHARDS {
+        let mut sim = tree(31, 1, shards);
+        assert_eq!(sim.shards(), shards);
+        sim.set_liveness(10, 25);
+        sim.inject(NodeId(0), 1);
+        sim.run_to_quiescence();
+        assert_eq!(sim.now(), 4, "{shards} shards: the flood's last hop");
+        sim.run_until(100);
+        assert_eq!(sim.now(), 100);
+        assert!(sim.suspicions().is_empty(), "{shards} shards");
+        assert!(sim.take_confirmed_dead().is_empty(), "{shards} shards");
+        // ten beats ping both ways over 30 links; the last beat's pings
+        // are still in flight at the horizon, so nine beats' pongs
+        assert_eq!(
+            sim.stats.liveness_msgs(),
+            (10 + 9) * 2 * 30,
+            "{shards} shards"
+        );
+        assert_conserved(&sim, &format!("{shards} shards"));
+    }
+}

@@ -39,10 +39,11 @@
 //!   [`NodeBehavior::on_link_up`] on both live endpoints so divergent
 //!   state reconciles in-protocol.
 //! * **Liveness.** The free-running host has no virtual clock to ride, so
-//!   its failure detector probes on management-plane ticks:
-//!   [`NodeHost::liveness_tick`] checks every live node's view of each
-//!   neighbor (down or severed ⇒ miss), with the same
-//!   suspicion/confirmation semantics as the simulator's heartbeats.
+//!   the simulator's failure detector ([`fsf_network::liveness::Detector`],
+//!   the same rules) runs on management-plane ticks:
+//!   [`NodeHost::liveness_tick`] is one probe round `period` units after
+//!   the last, in which every live node hears each neighbor that is up and
+//!   not cut off.
 //!
 //! The conservation ledger reconciles at quiescence:
 //! `scheduled == handled + dropped_to_downed + dropped_severed` —
@@ -52,6 +53,7 @@
 use crate::codec::WireMsg;
 use bytes::Bytes;
 use fsf_model::EventId;
+use fsf_network::liveness::Detector;
 use fsf_network::{
     ChargeKind, Ctx, DeliveryLog, LatencyModel, NodeBehavior, NodeId, RegraftDelta, Topology,
     TopologyError, TrafficStats,
@@ -152,23 +154,6 @@ enum Packet<B: NodeBehavior> {
     Stop,
 }
 
-/// Probe-based failure-detector state (the host analogue of the
-/// simulator's heartbeat liveness — see [`NodeHost::liveness_tick`]).
-struct HostLiveness {
-    /// Consecutive missed probe rounds before `(observer, peer)` suspicion
-    /// (⌈timeout / period⌉, mirroring the simulator's knobs).
-    threshold: u64,
-    /// Consecutive misses per directed neighbor pair.
-    misses: std::collections::BTreeMap<(NodeId, NodeId), u64>,
-    /// Directed suspicions currently active.
-    suspected: std::collections::BTreeSet<(NodeId, NodeId)>,
-    /// Nodes newly confirmed dead, drained by
-    /// [`NodeHost::take_confirmed_dead`].
-    confirmed: Vec<NodeId>,
-    /// Everything ever confirmed (until a successful probe re-admits it).
-    confirmed_ever: std::collections::BTreeSet<NodeId>,
-}
-
 struct HostShared {
     stats: Mutex<TrafficStats>,
     deliveries: Mutex<DeliveryLog>,
@@ -187,7 +172,7 @@ struct HostShared {
     wire_frames: AtomicU64,
     wire_bytes: AtomicU64,
     coalesced_frames: AtomicU64,
-    liveness: Mutex<Option<HostLiveness>>,
+    liveness: Mutex<Option<Detector>>,
 }
 
 impl HostShared {
@@ -471,75 +456,38 @@ where
         Ok(())
     }
 
-    /// Enable the probe-based failure detector. `period`/`timeout` mirror
-    /// the simulator's heartbeat knobs: a neighbor must miss
-    /// `⌈timeout / period⌉` consecutive [`Self::liveness_tick`] rounds
-    /// before suspicion.
+    /// Enable the failure detector, probing on [`Self::liveness_tick`]
+    /// rounds of `period` units each: a neighbor unheard for more than
+    /// `timeout` units is suspected.
+    ///
+    /// # Panics
+    /// Panics when `period` or `timeout` is zero.
     pub fn set_liveness(&self, period: u64, timeout: u64) {
-        assert!(period > 0, "probe period must be positive");
-        assert!(timeout > 0, "suspicion timeout must be positive");
-        *self.shared.liveness.lock() = Some(HostLiveness {
-            threshold: timeout.div_ceil(period).max(1),
-            misses: std::collections::BTreeMap::new(),
-            suspected: std::collections::BTreeSet::new(),
-            confirmed: Vec::new(),
-            confirmed_ever: std::collections::BTreeSet::new(),
-        });
+        *self.shared.liveness.lock() = Some(Detector::new(period, timeout, 0));
     }
 
-    /// One probe round of the host's failure detector (a no-op until
-    /// [`Self::set_liveness`]). The free-running host has no virtual clock
-    /// for heartbeats to ride, so the management loop drives beats
-    /// explicitly: each live node probes each neighbor, and a probe misses
-    /// exactly when the simulator's ping would die at a radio — the peer
-    /// is down or the link is severed. `threshold` consecutive misses ⇒
-    /// suspicion; every live neighbor suspecting ⇒ confirmed dead (read
-    /// with [`Self::take_confirmed_dead`]); a successful probe clears the
-    /// suspicion and re-admits a falsely confirmed peer.
+    /// One probe round of the failure detector (a no-op until
+    /// [`Self::set_liveness`]), at the detector's next beat. The
+    /// free-running host has no virtual clock for heartbeats to ride, so
+    /// the management loop drives rounds explicitly: each live node hears
+    /// each neighbor unless the simulator's ping would die at a radio —
+    /// the peer is down or the link is severed — and then the detector
+    /// sweeps (read confirmations with [`Self::take_confirmed_dead`]).
     pub fn liveness_tick(&self) {
-        let topo = self.shared.topology();
         let mut guard = self.shared.liveness.lock();
-        let Some(lv) = guard.as_mut() else {
+        let Some(detector) = guard.as_mut() else {
             return;
         };
-        for idx in 0..topo.len() {
-            let a = NodeId(idx as u32);
-            if self.shared.is_down(a) {
-                continue;
-            }
+        let topo = self.shared.topology();
+        let at = detector.next_beat();
+        for a in topo.nodes().filter(|&a| !self.shared.is_down(a)) {
             for &b in topo.neighbors(a) {
                 if !self.shared.is_down(b) && !topo.is_severed(a, b) {
-                    lv.misses.remove(&(a, b));
-                    lv.suspected.remove(&(a, b));
-                    // the probe's "pong": a reachable live peer cannot
-                    // stay confirmed
-                    lv.confirmed_ever.remove(&b);
-                } else {
-                    let m = lv.misses.entry((a, b)).or_insert(0);
-                    *m += 1;
-                    if *m >= lv.threshold {
-                        lv.suspected.insert((a, b));
-                    }
+                    detector.heard(a, b, at, true);
                 }
             }
         }
-        let suspects: std::collections::BTreeSet<NodeId> =
-            lv.suspected.iter().map(|&(_, x)| x).collect();
-        for x in suspects {
-            if lv.confirmed_ever.contains(&x) {
-                continue;
-            }
-            // corpses cast no vote: confirmation needs every *live*
-            // neighbor to agree
-            let unanimous = topo
-                .neighbors(x)
-                .iter()
-                .all(|&nb| self.shared.is_down(nb) || lv.suspected.contains(&(nb, x)));
-            if unanimous {
-                lv.confirmed_ever.insert(x);
-                lv.confirmed.push(x);
-            }
-        }
+        detector.sweep(at, &topo, |n| self.shared.is_down(n));
     }
 
     /// Active directed `(observer, suspect)` suspicions, sorted.
@@ -549,7 +497,7 @@ where
             .liveness
             .lock()
             .as_ref()
-            .map(|lv| lv.suspected.iter().copied().collect())
+            .map(Detector::suspicions)
             .unwrap_or_default()
     }
 
@@ -561,7 +509,7 @@ where
             .liveness
             .lock()
             .as_mut()
-            .map(|lv| std::mem::take(&mut lv.confirmed))
+            .map(Detector::take_confirmed)
             .unwrap_or_default()
     }
 

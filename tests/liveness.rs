@@ -9,16 +9,26 @@
 //!   detector on, a crashed relay is suspected by every live neighbor,
 //!   confirmed dead on the virtual clock, and its pending recovery is
 //!   applied in-protocol; the resulting `DeliveryLog` equals the
-//!   management-plane `recover()` twin event-for-event, across the PR 4
-//!   crash matrix (seeds × latency models × all five engines);
+//!   management-plane `recover()` twin event-for-event, across the crash
+//!   matrix (seeds × latency models × all five engines × 1, 2 and 4
+//!   shards), and every sharded run equals its 1-shard run;
 //! * **no false executions** — severing a link starves one observer of
 //!   pongs and raises a directed suspicion, but confirmation requires
 //!   *unanimity* among live neighbors, and the far neighbor still
 //!   vouches; on heal the late pong re-admits the suspect with zero
-//!   recoveries and no route loss.
+//!   recoveries and no route loss, again on every shard count.
+//!
+//! A third test holds the substrates to one beat count: the heap, the
+//! shards and the async host's probe rounds confirm a crash on the same
+//! beat, because they all run one `fsf::network::liveness::Detector`.
+//!
+//! CI runs this suite under a seed matrix: `FSF_PARTITION_SEED=<n>` adds a
+//! seed to the crash matrix on top of the built-in ones.
 
-use fsf::network::{builders, LatencyModel, Topology};
+use fsf::engines::RecoveryStats;
+use fsf::network::{builders, DeliveryLog, LatencyModel, Topology};
 use fsf::prelude::*;
+use fsf::runtime::{HostConfig, HostMode, NodeHost};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -32,6 +42,36 @@ const PERIOD: u64 = 10;
 const TIMEOUT: u64 = 25;
 /// Clock horizon that comfortably covers suspicion + confirmation.
 const DETECT: u64 = 8 * TIMEOUT;
+/// Simulator shard counts: the heap, and the shards discipline at two
+/// sizes (zero latency coalesces the latter to one calendar).
+const SHARDS: [usize; 3] = [1, 2, 4];
+
+fn seeds() -> Vec<u64> {
+    let mut seeds = vec![0x5EED_0001, 0x5EED_0002, 0x5EED_0003];
+    if let Ok(s) = std::env::var("FSF_PARTITION_SEED") {
+        seeds.push(s.parse().expect("FSF_PARTITION_SEED must be a u64"));
+    }
+    seeds
+}
+
+/// What the detector left behind in one run, besides its deliveries: held
+/// equal across shard counts.
+#[derive(Debug, Clone, PartialEq)]
+struct Detection {
+    suspicions: Vec<(NodeId, NodeId)>,
+    recovery: RecoveryStats,
+    heartbeat_msgs: u64,
+    steps: u64,
+}
+
+fn detection(e: &dyn Engine) -> Detection {
+    Detection {
+        suspicions: e.suspicions(),
+        recovery: e.recovery_stats(),
+        heartbeat_msgs: e.stats().liveness_msgs(),
+        steps: e.steps(),
+    }
+}
 
 /// The PR 4 crash scenario, restated: sensors and subscribers on leaves,
 /// one stateless interior relay to crash, two publish batches separated
@@ -150,14 +190,16 @@ fn scenario(seed: u64) -> Scenario {
 fn run_detected(
     kind: EngineKind,
     latency: &LatencyModel,
+    shards: usize,
     sc: &Scenario,
     in_protocol: bool,
-) -> fsf::network::DeliveryLog {
+) -> (DeliveryLog, Detection) {
     let mut e = kind
         .builder(sc.topology.clone())
         .validity(VALIDITY)
         .seed(42)
         .latency(latency.clone())
+        .shards(shards)
         .heartbeat(PERIOD, TIMEOUT)
         .build();
     e.set_auto_recover(false);
@@ -212,21 +254,36 @@ fn run_detected(
         e.inject_event(node, ev);
         e.flush();
     }
-    e.deliveries().clone()
+    (e.deliveries().clone(), detection(e.as_ref()))
 }
 
 /// The acceptance matrix: liveness-driven recovery reproduces the
 /// management-plane recovery `DeliveryLog` event-for-event — 3 seeds ×
-/// zero/nonzero latency × all five engines, zero false-suspicion
-/// divergence.
+/// zero/nonzero latency × all five engines × 1, 2 and 4 shards, zero
+/// false-suspicion divergence — and every sharded run's log and detector
+/// state equal its 1-shard run's.
 #[test]
 fn the_detector_heals_the_crash_exactly_like_the_management_plane() {
-    for seed in [0x5EED_0001u64, 0x5EED_0002, 0x5EED_0003] {
+    for seed in seeds() {
         let sc = scenario(seed);
         for latency in [LatencyModel::Zero, LatencyModel::Uniform { hop: 1 }] {
-            for kind in EngineKind::ALL {
-                let managed = run_detected(kind, &latency, &sc, false);
-                let detected = run_detected(kind, &latency, &sc, true);
+            let mut oracle = None;
+            // every kind's 1-shard run comes first and is its oracle
+            for (kind, shards) in EngineKind::ALL
+                .into_iter()
+                .flat_map(|kind| SHARDS.map(|shards| (kind, shards)))
+            {
+                let (managed, _) = run_detected(kind, &latency, shards, &sc, false);
+                let run = run_detected(kind, &latency, shards, &sc, true);
+                if shards == 1 {
+                    oracle = Some(run.clone());
+                }
+                assert_eq!(
+                    Some(&run),
+                    oracle.as_ref(),
+                    "seed {seed:#x} {latency:?}: {kind} at {shards} shards diverged from 1 shard"
+                );
+                let detected = run.0;
                 assert_eq!(
                     detected, managed,
                     "seed {seed:#x} {latency:?}: {kind}'s in-protocol recovery diverged \
@@ -265,13 +322,19 @@ fn a_slow_link_raises_suspicion_but_never_an_execution() {
     let sub = Subscription::identified(SubId(1), [(SensorId(1), ValueRange::new(0.0, 10.0))], DT)
         .unwrap();
     for latency in [LatencyModel::Zero, LatencyModel::Uniform { hop: 1 }] {
-        for kind in EngineKind::ALL {
-            let ctx = format!("{kind}/{latency:?}");
+        let mut oracle = None;
+        // every kind's 1-shard run comes first and is its oracle
+        for (kind, shards) in EngineKind::ALL
+            .into_iter()
+            .flat_map(|kind| SHARDS.map(|shards| (kind, shards)))
+        {
+            let ctx = format!("{kind}/{latency:?}/{shards} shards");
             let build = || {
                 kind.builder(topo.clone())
                     .validity(VALIDITY)
                     .seed(42)
                     .latency(latency.clone())
+                    .shards(shards)
                     .heartbeat(PERIOD, TIMEOUT)
                     .build()
             };
@@ -345,6 +408,71 @@ fn a_slow_link_raises_suspicion_but_never_an_execution() {
                 t.deliveries(),
                 "{ctx}: the suspicion episode cost deliveries"
             );
+            let run = (e.deliveries().clone(), detection(e.as_ref()));
+            if shards == 1 {
+                oracle = Some(run.clone());
+            }
+            assert_eq!(Some(&run), oracle.as_ref(), "{ctx}: diverged from 1 shard");
         }
+    }
+}
+
+/// The first beat index (of 10) at which `beat` drains a confirmation,
+/// which must be n2's alone.
+fn first_confirmation(mut beat: impl FnMut(u64) -> Vec<NodeId>) -> Option<u64> {
+    (1..=10u64).find(|&k| {
+        let confirmed = beat(k);
+        assert!(
+            confirmed.is_empty() || confirmed == [NodeId(2)],
+            "{confirmed:?}"
+        );
+        !confirmed.is_empty()
+    })
+}
+
+/// One beat count for every substrate: on `line(3)` with n2 crashed, the
+/// heap (zero latency), the shards discipline (2 shards, one tick per hop)
+/// and the async host's probe rounds confirm n2 on the same beat — also
+/// when the timeout is a whole number of periods, where `elapsed > timeout`
+/// decides.
+#[test]
+fn every_substrate_confirms_a_crash_on_the_same_beat() {
+    let topo = builders::line(3);
+    let config = PubSubConfig::fsf(VALIDITY, 42);
+    for (period, timeout) in [(10, 25), (10, 20)] {
+        let ctx = format!("heartbeat({period}, {timeout})");
+        let mut rows = Vec::new();
+        for (latency, shards) in [
+            (LatencyModel::Zero, 1),
+            (LatencyModel::Uniform { hop: 1 }, 2),
+        ] {
+            let mut sim = Simulator::build(topo.clone(), latency, shards, |id, _| {
+                PubSubNode::new(id, config)
+            });
+            assert_eq!(sim.shards(), shards, "{ctx}");
+            sim.set_liveness(period, timeout);
+            sim.crash_and_regraft(NodeId(2), NodeId(1)).unwrap();
+            rows.push(first_confirmation(|k| {
+                sim.run_until(k * period);
+                sim.take_confirmed_dead()
+            }));
+        }
+        let host: NodeHost<PubSubNode> = NodeHost::spawn(
+            &topo,
+            &HostConfig {
+                mode: HostMode::Executor { workers: 1 },
+                mailbox: 8,
+                latency: LatencyModel::Zero,
+            },
+            |id, _| PubSubNode::new(id, config),
+        );
+        host.set_liveness(period, timeout);
+        host.crash_and_regraft(NodeId(2), NodeId(1), 0).unwrap();
+        rows.push(first_confirmation(|_| {
+            host.liveness_tick();
+            host.take_confirmed_dead()
+        }));
+        host.shutdown();
+        assert_eq!(rows, [Some(3); 3], "{ctx}: heap, shards, host");
     }
 }

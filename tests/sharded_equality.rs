@@ -309,17 +309,27 @@ fn crash_purges_and_severed_drops_reconcile_on_sharded_backends() {
         let timed = plan.timed(&TimedReplayConfig::drained(&topology, &latency));
         let mut family_drops = 0u64;
         for kind in EngineKind::ALL {
-            for shards in [1usize, 2, 4] {
-                let ctx = format!("{kind}/{family}/{shards} shards");
+            for (shards, heartbeat) in [1usize, 2, 4]
+                .into_iter()
+                .flat_map(|shards| [(shards, false), (shards, true)])
+            {
+                let ctx = format!("{kind}/{family}/{shards} shards/heartbeat {heartbeat}");
                 let recorder = fsf::telemetry::Recorder::new();
-                let mut e = kind
+                let mut builder = kind
                     .builder(topology.clone())
                     .validity(VALIDITY)
                     .seed(42)
                     .latency(latency.clone())
                     .shards(shards)
-                    .sink(recorder.clone())
-                    .build();
+                    .sink(recorder.clone());
+                if heartbeat {
+                    // pings and pongs recorded from the shard workers, the
+                    // ones that die at the cut and at corpses included; a
+                    // beat every 50 ticks over the plans' ~2 000-tick
+                    // timelines keeps the row to a few seconds in debug
+                    builder = builder.heartbeat(50, 125);
+                }
+                let mut e = builder.build();
                 run_plan_timed(e.as_mut(), &timed);
                 if severed {
                     assert!(

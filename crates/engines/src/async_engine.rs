@@ -284,7 +284,7 @@ impl<P: Protocol> EngineIntrospect for AsyncEngine<P> {
     }
     fn dropped_from_queue(&self) -> u64 {
         let ledger = self.host.ledger();
-        ledger.dropped_to_downed + ledger.dropped_severed
+        ledger.dropped_to_downed + ledger.dropped_severed + ledger.dropped_malformed
     }
     fn dropped_severed(&self) -> u64 {
         self.host.ledger().dropped_severed

@@ -7,18 +7,34 @@
 //! shard its own calendar queue, and advances shards concurrently under a
 //! classic Chandy–Misra conservative protocol:
 //!
-//! * **Lookahead rule.** Per round, each shard `s` exposes the timestamp of
-//!   its earliest queued event (`head(s)`, ∞ if idle). A lower bound on
-//!   anything shard `s` may still *emit toward* a neighbor is computed by
-//!   relaxing `lb(s) = min(head(s), min over adjacent r of lb(r) + L(r,s))`
-//!   to a fixpoint, where `L(r,s)` is the minimum latency of any link
-//!   crossing between the two shards. Shard `s` may then safely process
-//!   every event strictly below `cap(s) = min over adjacent r of
-//!   lb(r) + L(r,s)` — no message can arrive into `s` earlier than that.
-//!   This is the null-message bound computed centrally per round instead of
-//!   being gossiped: with every link costing ≥ 1 tick, the shard holding
-//!   the globally earliest event always has `cap > head`, so every round
-//!   makes progress.
+//! * **Lookahead rule.** A node's *exit distance* `exit(v)` is `min_hop() ×`
+//!   the hops from `v` to the nearest node of its own shard with a live
+//!   link into another shard, counted over live same-shard links (0 on the
+//!   border, ∞ where no border is reachable). A message queued for `v` at
+//!   tick `t`, and everything it causes inside the shard, reaches a border
+//!   node no earlier than `t + exit(v)`, because every hop costs at least
+//!   `min_hop()`. Per round, each shard `s` exposes `emit(s)`, the minimum
+//!   of `t + exit` over its queued entries (∞ if none can cross); each
+//!   calendar bucket keeps its entries' minimum `exit`, so this is a short
+//!   walk from the head. A lower bound on anything shard `s` may still
+//!   *emit toward* a neighbor is computed by relaxing `lb(s) = min(emit(s),
+//!   min over adjacent r of lb(r) + L(r,s))` to a fixpoint, where `L(r,s)`
+//!   is the minimum latency of any link crossing between the two shards.
+//!   A relayed bound gets no distance credit: what crosses from `r` lands
+//!   on a border node of `s`, which may pass it on into a third shard at
+//!   once. Shard `s` may then safely process every event strictly below
+//!   `cap(s) = min over adjacent r of lb(r) + L(r,s)` — no message can
+//!   arrive into `s` earlier than that, and the barrier asserts it. This is
+//!   the Chandy–Misra null-message bound computed centrally per round
+//!   instead of being gossiped, crediting the hops a message must take
+//!   before it can cross. Those hops are a pure function of the topology
+//!   and the latency model, so the schedule still is too. With every link
+//!   costing ≥ 1 tick, the shard holding the globally earliest event always
+//!   has `cap > head`, so every round makes progress.
+//! * **Threads.** A round's runnable shards are dealt, in id order, to at
+//!   most `min(shards, available cores)` threads. The calling thread
+//!   advances the stripe holding the lowest id and spawns one scoped
+//!   thread per other stripe.
 //! * **Determinism guarantee.** Within a shard, events are processed in
 //!   `(deliver_at, origin_shard, seq)` order with a per-shard monotone
 //!   `seq`; cross-shard handoffs are routed at the round barrier in shard-id
@@ -169,6 +185,24 @@ struct Entry<M> {
     msg: Payload<M>,
 }
 
+/// One calendar tick's entries, with the smallest exit distance (see
+/// `Shards::exit`) of any entry pushed into it — a lower bound that stays
+/// valid as entries leave.
+#[derive(Debug)]
+struct Bucket<M> {
+    entries: Vec<Entry<M>>,
+    min_exit: u64,
+}
+
+impl<M> Default for Bucket<M> {
+    fn default() -> Self {
+        Bucket {
+            entries: Vec::new(),
+            min_exit: u64::MAX,
+        }
+    }
+}
+
 /// Per-shard state: the nodes it owns, its calendar queue, and its private
 /// counters (drained into the merged totals after every pump).
 #[derive(Debug)]
@@ -180,12 +214,16 @@ struct ShardState<B: NodeBehavior, S: TelemetrySink> {
     /// `(origin, seq)` at drain time; same-tick sends made while draining
     /// land in a fresh bucket picked up by the next loop iteration, which
     /// preserves seq order (new seqs are always larger).
-    calendar: BTreeMap<u64, Vec<Entry<B::Msg>>>,
+    calendar: BTreeMap<u64, Bucket<B::Msg>>,
     queued: usize,
     next_seq: u64,
     counts: Counters,
     /// Highest tick this shard has processed (drops included).
     last_tick: u64,
+    /// The cap this shard last advanced to in the current pump: every
+    /// handoff routed into it must land at or above it (the causality
+    /// guard at the barrier).
+    cap: u64,
     stats: TrafficStats,
     deliveries: DeliveryLog,
     /// Cross-shard sends produced this round: `(deliver_at, dest_shard,
@@ -207,6 +245,7 @@ impl<B: NodeBehavior, S: TelemetrySink> ShardState<B, S> {
             next_seq: 0,
             counts: Counters::default(),
             last_tick: 0,
+            cap: 0,
             stats: TrafficStats::new(),
             deliveries: DeliveryLog::new(),
             outgoing: Vec::new(),
@@ -218,9 +257,27 @@ impl<B: NodeBehavior, S: TelemetrySink> ShardState<B, S> {
         self.calendar.first_key_value().map(|(&t, _)| t)
     }
 
-    fn push(&mut self, at: u64, entry: Entry<B::Msg>) {
-        self.calendar.entry(at).or_default().push(entry);
+    fn push(&mut self, at: u64, entry: Entry<B::Msg>, exit: u64) {
+        let bucket = self.calendar.entry(at).or_default();
+        bucket.min_exit = bucket.min_exit.min(exit);
+        bucket.entries.push(entry);
         self.queued += 1;
+    }
+
+    /// The earliest tick at which anything queued here, or anything it
+    /// causes inside the shard, can be handled on a border node:
+    /// `min(t + exit)` over the queued entries, ∞ if none can. Buckets at
+    /// or past the best bound so far cannot lower it, so the walk stops
+    /// after at most `max exit / min_hop()` buckets.
+    fn emit(&self) -> u64 {
+        let mut best = u64::MAX;
+        for (&t, bucket) in &self.calendar {
+            if t >= best {
+                break;
+            }
+            best = best.min(t.saturating_add(bucket.min_exit));
+        }
+        best
     }
 
     /// Process every queued event strictly below `cap`, in
@@ -235,8 +292,10 @@ impl<B: NodeBehavior, S: TelemetrySink> ShardState<B, S> {
         latency: &LatencyModel,
         plan: &ShardPlan,
         node_slot: &[u32],
+        exit: &[u64],
         down: &BTreeSet<NodeId>,
     ) -> (u64, u64) {
+        self.cap = cap;
         let mut handled = 0u64;
         let mut popped = 0u64;
         let mut outbox: Vec<(NodeId, B::Msg, ChargeKind, u64)> = Vec::new();
@@ -244,20 +303,24 @@ impl<B: NodeBehavior, S: TelemetrySink> ShardState<B, S> {
             if t >= cap {
                 break;
             }
-            let mut bucket = self.calendar.remove(&t).expect("peeked head");
-            self.queued -= bucket.len();
-            bucket.sort_by_key(|e| (e.origin, e.seq));
+            let Bucket {
+                mut entries,
+                min_exit,
+            } = self.calendar.remove(&t).expect("peeked head");
+            self.queued -= entries.len();
+            entries.sort_by_key(|e| (e.origin, e.seq));
             self.last_tick = t;
-            let mut bucket = bucket.into_iter();
+            let mut bucket = entries.into_iter();
             while let Some(entry) = bucket.next() {
                 if popped == budget {
                     // out of budget: the rest of the bucket goes back, so
                     // the runaway report reads exact depths
                     let rest = self.calendar.entry(t).or_default();
-                    let before = rest.len();
-                    rest.push(entry);
-                    rest.extend(bucket);
-                    self.queued += rest.len() - before;
+                    rest.min_exit = rest.min_exit.min(min_exit);
+                    let before = rest.entries.len();
+                    rest.entries.push(entry);
+                    rest.entries.extend(bucket);
+                    self.queued += rest.entries.len() - before;
                     break 'drain;
                 }
                 popped += 1;
@@ -354,7 +417,7 @@ impl<B: NodeBehavior, S: TelemetrySink> ShardState<B, S> {
                         continue;
                     }
                     if dest == self.id {
-                        self.push(at, e);
+                        self.push(at, e, exit[to.0 as usize]);
                     } else {
                         self.outgoing.push((at, dest, e));
                     }
@@ -381,8 +444,14 @@ pub(crate) struct Shards<B: NodeBehavior, S: TelemetrySink> {
     /// the `L(r,s)` of the lookahead rule. Rebuilt on every topology
     /// mutation.
     shard_graph: Vec<Vec<(usize, u64)>>,
-    /// Worker threads per round: `min(shards, available cores)`; 1 runs
-    /// shards inline on the calling thread.
+    /// Per node: `min_hop() ×` the hops from it to the nearest node of its
+    /// own shard with a live link into another shard, over live same-shard
+    /// links; 0 on the border, ∞ where no border is reachable. Rebuilt with
+    /// `shard_graph`.
+    exit: Vec<u64>,
+    /// Threads per round, the calling thread included: `min(shards,
+    /// available cores)`. Each advances a fixed, id-ordered stripe of the
+    /// runnable shards; 1 runs every shard on the calling thread.
     workers: usize,
 }
 
@@ -426,18 +495,24 @@ where
             shards,
             rounds: 0,
             shard_graph: Vec::new(),
+            exit: Vec::new(),
         };
         queue.rebuild_shard_graph(topology, latency);
         queue
     }
 
-    /// Recompute the lookahead graph. Must run after every topology
-    /// mutation and *before* anything is scheduled against the new
-    /// topology: a healed link may lower the conservative bound, and a
-    /// round against the stale graph would overshoot `run_until`'s boundary.
+    /// Recompute the lookahead graph and the exit distances, and refresh
+    /// every queued bucket's `min_exit` against them. Must run after every
+    /// topology mutation and *before* anything is scheduled against the
+    /// new topology: a healed or re-grafted link may lower the
+    /// conservative bound, and a round against the stale graph would
+    /// overshoot `run_until`'s boundary.
     pub(crate) fn rebuild_shard_graph(&mut self, topology: &Topology, latency: &LatencyModel) {
         let s = self.plan.shards();
         let mut min_link: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+        // multi-source BFS from the border over live same-shard links
+        let mut hops = vec![u64::MAX; topology.len()];
+        let mut frontier = std::collections::VecDeque::new();
         for u in topology.nodes() {
             let su = self.plan.shard_of(u);
             for &v in topology.neighbors(u) {
@@ -453,6 +528,12 @@ where
                 if su == sv {
                     continue;
                 }
+                for border in [u, v] {
+                    if hops[border.0 as usize] != 0 {
+                        hops[border.0 as usize] = 0;
+                        frontier.push_back(border);
+                    }
+                }
                 let d = latency.delay(u, v);
                 let key = (su.min(sv), su.max(sv));
                 min_link
@@ -467,18 +548,46 @@ where
             graph[b].push((a, d));
         }
         self.shard_graph = graph;
+        while let Some(u) = frontier.pop_front() {
+            let next = hops[u.0 as usize] + 1;
+            for &v in topology.neighbors(u) {
+                if hops[v.0 as usize] == u64::MAX
+                    && self.plan.shard_of(v) == self.plan.shard_of(u)
+                    && !topology.is_severed(u, v)
+                {
+                    hops[v.0 as usize] = next;
+                    frontier.push_back(v);
+                }
+            }
+        }
+        let min_hop = latency.min_hop();
+        self.exit = hops
+            .into_iter()
+            .map(|h| if h == u64::MAX { h } else { h * min_hop })
+            .collect();
+        for shard in &mut self.shards {
+            for bucket in shard.calendar.values_mut() {
+                bucket.min_exit = bucket
+                    .entries
+                    .iter()
+                    .map(|e| self.exit[e.to.0 as usize])
+                    .min()
+                    .unwrap_or(u64::MAX);
+            }
+        }
     }
 
     /// Per-round conservative caps: `cap(s) = min over adjacent r of
-    /// lb(r) + L(r,s)`, with `lb` the relaxed earliest-emission bounds (see
-    /// the module docs), clamped to `horizon + 1`. The second element of
-    /// each pair is the cap's provenance: `true` when a neighbor's bound is
-    /// the binding constraint (rather than the horizon clamp or an
-    /// unconstrained `u64::MAX`) — the profiling signal for how often the
-    /// conservative window, not the workload, limits a shard's round.
-    fn round_caps(&self, heads: &[Option<u64>], horizon: Option<u64>) -> Vec<(u64, bool)> {
+    /// lb(r) + L(r,s)`, with `lb` the earliest-emission bounds `emits`
+    /// relaxed over the shard graph (see the module docs), clamped to
+    /// `horizon + 1`. The second element of each pair is the cap's
+    /// provenance: `true` when a neighbor's bound is the binding constraint
+    /// (rather than the horizon clamp or an unconstrained `u64::MAX`) — the
+    /// profiling signal for how often the conservative window, not the
+    /// workload, limits a shard's round.
+    fn round_caps(&self, emits: &[u64], horizon: Option<u64>) -> Vec<(u64, bool)> {
         let s = self.shards.len();
-        let mut lb: Vec<u64> = heads.iter().map(|h| h.unwrap_or(u64::MAX)).collect();
+        let mut lb = emits.to_vec();
         loop {
             let mut changed = false;
             for a in 0..s {
@@ -522,6 +631,12 @@ where
     #[cfg(test)]
     pub(crate) fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
+    }
+
+    /// Completed conservative rounds, for the scheduler table.
+    #[cfg(test)]
+    pub(crate) fn rounds(&self) -> u64 {
+        self.rounds
     }
 
     pub(crate) fn node(&self, id: NodeId) -> &B {
@@ -600,7 +715,7 @@ where
             }
             return;
         }
-        self.shards[dest].push(deliver_at, entry);
+        self.shards[dest].push(deliver_at, entry, self.exit[to.0 as usize]);
     }
 
     /// Purge corpse-bound entries from EVERY shard, not just the corpse's
@@ -612,10 +727,10 @@ where
         for shard in &mut self.shards {
             let mut purged = 0u64;
             shard.calendar.retain(|_, bucket| {
-                let before = bucket.len();
-                bucket.retain(|e| e.to != crashed);
-                purged += (before - bucket.len()) as u64;
-                !bucket.is_empty()
+                let before = bucket.entries.len();
+                bucket.entries.retain(|e| e.to != crashed);
+                purged += (before - bucket.entries.len()) as u64;
+                !bucket.entries.is_empty()
             });
             shard.queued -= purged as usize;
             // outgoing entries were scheduled but never pushed, so they
@@ -651,7 +766,7 @@ where
         let mut queued_to: BTreeMap<NodeId, u64> = BTreeMap::new();
         for shard in &self.shards {
             for bucket in shard.calendar.values() {
-                for e in bucket {
+                for e in &bucket.entries {
                     *queued_to.entry(e.to).or_default() += 1;
                 }
             }
@@ -671,6 +786,12 @@ where
     ) -> (u64, bool) {
         let mut total_handled = 0u64;
         let mut out_of_budget = false;
+        // A cap promises nothing beyond the pump it was computed in: what
+        // is scheduled between pumps starts at the clock, which every
+        // shard has already reached.
+        for shard in &mut self.shards {
+            shard.cap = 0;
+        }
         loop {
             let heads: Vec<Option<u64>> = self.shards.iter().map(ShardState::head).collect();
             let Some(gmin) = heads.iter().flatten().copied().min() else {
@@ -684,68 +805,76 @@ where
                 out_of_budget = true;
                 break;
             }
-            let caps = self.round_caps(&heads, horizon);
+            let emits: Vec<u64> = self.shards.iter().map(ShardState::emit).collect();
+            let caps = self.round_caps(&emits, horizon);
             let left = *budget;
-            // Boolean bitmap, not a membership list: the threaded branch
-            // below checks every shard index against it, and a
-            // `Vec::contains` scan there is O(shards²) per round.
             let runnable: Vec<bool> = (0..self.shards.len())
                 .map(|s| heads[s].is_some_and(|h| h < caps[s].0))
                 .collect();
             let runnable_count = runnable.iter().filter(|&&r| r).count();
             debug_assert!(runnable_count > 0, "the gmin shard always runs");
-            let mut round_handled = 0u64;
-            let mut round_popped = 0u64;
-            // per-shard popped counts, for the ShardRound profiles
-            let mut drained = vec![0u64; self.shards.len()];
-            {
-                let shards = &mut self.shards;
-                let topology = net.topology;
-                let latency = net.latency;
-                let plan = &self.plan;
-                let node_slot = &self.node_slot;
-                let down = net.down;
-                if self.workers > 1 && runnable_count > 1 {
-                    std::thread::scope(|sc| {
-                        let mut handles = Vec::with_capacity(runnable_count);
-                        for (idx, shard) in shards.iter_mut().enumerate() {
-                            if !runnable[idx] {
-                                continue;
-                            }
-                            let cap = caps[idx].0;
-                            handles.push((
-                                idx,
-                                sc.spawn(move || {
-                                    shard.advance(
-                                        cap, left, topology, latency, plan, node_slot, down,
-                                    )
-                                }),
-                            ));
-                        }
-                        for (idx, h) in handles {
-                            let (hd, pp) =
-                                h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-                            round_handled += hd;
-                            round_popped += pp;
-                            drained[idx] = pp;
-                        }
-                    });
-                } else {
-                    for idx in (0..shards.len()).filter(|&s| runnable[s]) {
-                        let (hd, pp) = shards[idx].advance(
+            // Stripe k holds the k-th, (k + threads)-th, … runnable shard
+            // in id order; the calling thread takes stripe 0, which holds
+            // the lowest id, and one spawned thread takes each other stripe.
+            let threads = self.workers.min(runnable_count);
+            let mut stripes: Vec<Vec<(usize, &mut ShardState<B, S>)>> =
+                (0..threads).map(|_| Vec::new()).collect();
+            let shards = self.shards.iter_mut().enumerate();
+            for (k, (idx, shard)) in shards.filter(|&(idx, _)| runnable[idx]).enumerate() {
+                stripes[k % threads].push((idx, shard));
+            }
+            let topology = net.topology;
+            let latency = net.latency;
+            let plan = &self.plan;
+            let node_slot = &self.node_slot;
+            let exit = &self.exit;
+            let down = net.down;
+            let caps = &caps;
+            let advance = |stripe: Vec<(usize, &mut ShardState<B, S>)>| -> Vec<(usize, u64, u64)> {
+                stripe
+                    .into_iter()
+                    .map(|(idx, shard)| {
+                        let (handled, popped) = shard.advance(
                             caps[idx].0,
                             left,
                             topology,
                             latency,
                             plan,
                             node_slot,
+                            exit,
                             down,
                         );
-                        round_handled += hd;
-                        round_popped += pp;
-                        drained[idx] = pp;
+                        (idx, handled, popped)
+                    })
+                    .collect()
+            };
+            let mut stripes = stripes.into_iter();
+            let own = stripes.next().expect("at least one runnable shard");
+            // a round with one thread skips the scope: most sparse rounds
+            // have one runnable shard, and there the scope cost measurably
+            let advanced = if threads == 1 {
+                advance(own)
+            } else {
+                let advance = &advance;
+                std::thread::scope(|sc| {
+                    let spawned: Vec<_> = stripes
+                        .map(|stripe| sc.spawn(move || advance(stripe)))
+                        .collect();
+                    let mut advanced = advance(own);
+                    for h in spawned {
+                        advanced.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
                     }
-                }
+                    advanced
+                })
+            };
+            let mut round_handled = 0u64;
+            let mut round_popped = 0u64;
+            // per-shard popped counts, for the ShardRound profiles
+            let mut drained = vec![0u64; self.shards.len()];
+            for (idx, handled, popped) in advanced {
+                round_handled += handled;
+                round_popped += popped;
+                drained[idx] = popped;
             }
             total_handled += round_handled;
             // every runnable shard may pop up to the whole remaining budget
@@ -772,11 +901,20 @@ where
             // Route cross-shard handoffs at the barrier, in shard-id order:
             // the destination bucket sort key (origin, seq) makes arrival
             // order irrelevant, but routing deterministically keeps even
-            // debug traces reproducible.
+            // debug traces reproducible. The causality guard: a handoff
+            // below its destination's cap would land in that shard's past,
+            // so the lookahead bound was wrong.
             for s in 0..self.shards.len() {
                 let outgoing = std::mem::take(&mut self.shards[s].outgoing);
                 for (at, dest, entry) in outgoing {
-                    self.shards[dest].push(at, entry);
+                    let cap = self.shards[dest].cap;
+                    assert!(
+                        at >= cap,
+                        "causality: shard {s} handed shard {dest} an entry at tick {at}, \
+                         below the cap {cap} it already advanced to"
+                    );
+                    let exit = self.exit[entry.to.0 as usize];
+                    self.shards[dest].push(at, entry, exit);
                 }
             }
         }
@@ -854,7 +992,7 @@ mod tests {
             for shard in &sim.shard_queue().shards {
                 for bucket in shard.calendar.values() {
                     assert!(
-                        bucket.iter().all(|e| e.to != NodeId(5)),
+                        bucket.entries.iter().all(|e| e.to != NodeId(5)),
                         "{shards} shards: no stale corpse-bound entries"
                     );
                 }
@@ -867,22 +1005,26 @@ mod tests {
 
     #[test]
     fn worker_threads_produce_the_identical_schedule() {
-        let mut inline = tree(127, 2, 4);
-        inline.shard_queue().set_workers(1);
-        let mut threaded = tree(127, 2, 4);
-        threaded.shard_queue().set_workers(4);
-        for sim in [&mut inline, &mut threaded] {
+        let run = |workers: usize| {
+            let mut sim = tree(127, 2, 4);
+            sim.shard_queue().set_workers(workers);
             sim.inject(NodeId(9), 1);
             sim.inject_at(NodeId(100), 2, 3);
             sim.run_to_quiescence();
+            sim
+        };
+        let inline = run(1);
+        // 2 and 3 threads stripe 4 shards unevenly; 4 gives each its own
+        for workers in [1, 2, 3, 4] {
+            let threaded = run(workers);
+            for n in 0..127u32 {
+                assert_eq!(
+                    inline.node(NodeId(n)).seen_at,
+                    threaded.node(NodeId(n)).seen_at,
+                    "node n{n}"
+                );
+            }
+            assert_eq!(inline.steps(), threaded.steps());
         }
-        for n in 0..127u32 {
-            assert_eq!(
-                inline.node(NodeId(n)).seen_at,
-                threaded.node(NodeId(n)).seen_at,
-                "node n{n}"
-            );
-        }
-        assert_eq!(inline.steps(), threaded.steps());
     }
 }

@@ -754,3 +754,20 @@ fn heartbeats_run_on_the_shards_discipline() {
         assert_conserved(&sim, &format!("{shards} shards"));
     }
 }
+
+#[test]
+fn a_flood_down_a_long_line_runs_in_few_rounds() {
+    // 256 nodes cut into 144 + 112; the flood starts at node 0, 143 hops
+    // from the cut. Each round's cap credits the hops the flood still
+    // has to walk before it can cross, so the count is a pure function of
+    // the line and the hop latency.
+    let mut sim = flood_sim(builders::line(256), LatencyModel::Uniform { hop: 1 }, 2);
+    assert_eq!(sim.shards(), 2);
+    sim.inject(NodeId(0), 7);
+    sim.run_to_quiescence();
+    assert_eq!(sim.node(NodeId(255)).seen_at, vec![255]);
+    let rounds = sim.shard_queue().rounds();
+    assert_eq!(rounds, 7);
+    // the head-only bound let a shard advance two ticks a round: 128 rounds
+    assert!(2 * rounds <= 128);
+}

@@ -46,8 +46,9 @@
 //!   not cut off.
 //!
 //! The conservation ledger reconciles at quiescence:
-//! `scheduled == handled + dropped_to_downed + dropped_severed` —
-//! backpressure parks senders instead of dropping, and the robustness
+//! `scheduled == handled + dropped_to_downed + dropped_severed +
+//! dropped_malformed` — backpressure parks senders instead of dropping, a
+//! frame that does not decode is counted and skipped, and the robustness
 //! battery holds the host to it.
 
 use crate::codec::WireMsg;
@@ -107,9 +108,10 @@ impl Default for HostConfig {
 /// The host's conservation ledger, all counters cumulative.
 ///
 /// At quiescence `scheduled == handled + dropped_to_downed +
-/// dropped_severed`: every frame accepted by the host is either delivered
-/// to a behavior or accounted to a downed node or a severed link —
-/// backpressure parks senders, it never drops silently.
+/// dropped_severed + dropped_malformed`: every frame accepted by the host
+/// is either delivered to a behavior or accounted to a downed node, a
+/// severed link or a failed decode — backpressure parks senders, it never
+/// drops silently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HostLedger {
     /// Frames accepted by the host (injections + link sends).
@@ -122,6 +124,9 @@ pub struct HostLedger {
     /// Frames that died at the sender's radio because the link was
     /// severed (charged, never delivered).
     pub dropped_severed: u64,
+    /// Frames that reached a node but did not decode (dropped by the
+    /// receiver, which keeps serving the frames after it).
+    pub dropped_malformed: u64,
     /// Times a sender parked on a full mailbox (backpressure events).
     pub parks: u64,
     /// Encoded frames that actually crossed a link (after batching).
@@ -168,6 +173,7 @@ struct HostShared {
     handled: AtomicU64,
     dropped_to_downed: AtomicU64,
     dropped_severed: AtomicU64,
+    dropped_malformed: AtomicU64,
     parks: AtomicU64,
     wire_frames: AtomicU64,
     wire_bytes: AtomicU64,
@@ -231,6 +237,7 @@ where
             handled: AtomicU64::new(0),
             dropped_to_downed: AtomicU64::new(0),
             dropped_severed: AtomicU64::new(0),
+            dropped_malformed: AtomicU64::new(0),
             parks: AtomicU64::new(0),
             wire_frames: AtomicU64::new(0),
             wire_bytes: AtomicU64::new(0),
@@ -545,6 +552,7 @@ where
             handled: self.shared.handled.load(Ordering::SeqCst),
             dropped_to_downed: self.shared.dropped_to_downed.load(Ordering::SeqCst),
             dropped_severed: self.shared.dropped_severed.load(Ordering::SeqCst),
+            dropped_malformed: self.shared.dropped_malformed.load(Ordering::SeqCst),
             parks: self.shared.parks.load(Ordering::SeqCst),
             wire_frames: self.shared.wire_frames.load(Ordering::SeqCst),
             wire_bytes: self.shared.wire_bytes.load(Ordering::SeqCst),
@@ -652,7 +660,11 @@ async fn node_task<B>(
                 let _ = ack.send(());
             }
             Packet::Wire { from, at, frame } => {
-                let msg = B::Msg::from_frame(frame).expect("malformed wire frame");
+                let Some(msg) = B::Msg::from_frame(frame) else {
+                    shared.dropped_malformed.fetch_add(1, Ordering::SeqCst);
+                    shared.pending.fetch_sub(1, Ordering::SeqCst);
+                    continue;
+                };
                 shared.clock.fetch_max(at, Ordering::SeqCst);
                 let topo = shared.topology();
                 {
@@ -961,6 +973,49 @@ mod tests {
         host.wait_quiescent();
         let after = host.ledger();
         assert_eq!(after.dropped_to_downed, ledger.dropped_to_downed + 1);
+    }
+
+    #[test]
+    fn malformed_frames_are_counted_drops_and_the_node_keeps_serving() {
+        for mode in modes() {
+            let topo = builders::line(4);
+            let config = HostConfig {
+                mode,
+                mailbox: 8,
+                latency: LatencyModel::Zero,
+            };
+            let host = NodeHost::spawn(&topo, &config, |_, _| Flood::default());
+            // straight into n1's mailbox, accounted the way `inject` is: a
+            // frame cut short, and one with bytes past the message
+            for frame in [&[0x01, 0x02, 0x03][..], &[0xEE; 13][..]] {
+                host.shared.scheduled.fetch_add(1, Ordering::SeqCst);
+                host.shared.pending.fetch_add(1, Ordering::SeqCst);
+                let sent = host.txs[1].blocking_send(Packet::Wire {
+                    from: NodeId(1),
+                    at: 0,
+                    frame: Bytes::from(frame.to_vec()),
+                });
+                assert!(sent.is_ok(), "{mode:?}: n1 is running");
+            }
+            host.inject(NodeId(1), &5, 0);
+            host.wait_quiescent();
+            let ledger = host.ledger();
+            assert_eq!(ledger.dropped_malformed, 2, "{mode:?}");
+            assert_eq!(
+                ledger.scheduled,
+                ledger.handled
+                    + ledger.dropped_to_downed
+                    + ledger.dropped_severed
+                    + ledger.dropped_malformed,
+                "{mode:?}: ledger must reconcile at quiescence"
+            );
+            let (stats, _) = host.shutdown();
+            assert_eq!(
+                stats.adv_msgs(),
+                3,
+                "{mode:?}: n1's flood still crossed every link"
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! mailboxes** with park-don't-drop backpressure, the binary wire codec on
 //! every link, per-link write batching, virtual-latency timestamps, and
 //! churn support (crash/regraft/recover). A conservation ledger
-//! (`scheduled == handled + dropped_to_downed`) reconciles at quiescence.
+//! (`scheduled == handled + dropped_to_downed + dropped_severed +
+//! dropped_malformed`) reconciles at quiescence.
 //!
 //! [`codec`] provides the compact binary wire encoding ([`codec::WireMsg`])
 //! for events, advertisements, subscriptions, operators, and the engines'

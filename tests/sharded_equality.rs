@@ -74,6 +74,25 @@ fn plan_families(topology: &Topology, seed: u64) -> Vec<(&'static str, ChurnPlan
     ]
 }
 
+/// Per-link weights drawn from `seed`: about a third of the links cost 3
+/// ticks, the rest 1, so hop counts × `min_hop()` under-estimate the real
+/// distances the lookahead bound has to stay below.
+fn weighted(topology: &Topology, seed: u64) -> LatencyModel {
+    let mut links = Vec::new();
+    for a in topology.nodes() {
+        for &b in topology.neighbors(a) {
+            let mut x = seed ^ (u64::from(a.0) << 32 | u64::from(b.0));
+            // splitmix64's finaliser: a seeded, well-spread draw per link
+            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            if a < b && (x ^ (x >> 31)).is_multiple_of(3) {
+                links.push((a, b, 3));
+            }
+        }
+    }
+    LatencyModel::per_link(1, links)
+}
+
 fn assert_conserved(e: &dyn Engine, ctx: &str) {
     assert_eq!(
         e.scheduled_total(),
@@ -93,7 +112,11 @@ fn assert_conserved(e: &dyn Engine, ctx: &str) {
 fn sharded_backends_match_the_oracle_on_flushed_replays() {
     for seed in seeds() {
         let topology = builders::balanced(63, 2);
-        for latency in [LatencyModel::Zero, LatencyModel::Uniform { hop: 2 }] {
+        for latency in [
+            LatencyModel::Zero,
+            LatencyModel::Uniform { hop: 2 },
+            weighted(&topology, seed),
+        ] {
             for (family, plan) in plan_families(&topology, seed) {
                 for kind in EngineKind::ALL {
                     let mut oracle = kind
@@ -150,41 +173,46 @@ fn sharded_backends_match_the_oracle_on_flushed_replays() {
 fn sharded_backends_match_the_oracle_on_timed_replays() {
     for seed in seeds() {
         let topology = builders::balanced(63, 2);
-        let latency = LatencyModel::Uniform { hop: 1 };
-        for (family, plan) in plan_families(&topology, seed) {
-            let timed = plan.timed(&TimedReplayConfig::drained(&topology, &latency));
-            for kind in EngineKind::ALL {
-                let mut oracle = kind
-                    .builder(topology.clone())
-                    .validity(VALIDITY)
-                    .seed(42)
-                    .latency(latency.clone())
-                    .build();
-                run_plan_timed(oracle.as_mut(), &timed);
-                for shards in SHARD_SWEEP {
-                    let ctx = format!("seed {seed:#x} {kind}/{family}/timed/{shards} shards");
-                    let mut e = kind
+        for (regime, latency) in [
+            ("timed", LatencyModel::Uniform { hop: 1 }),
+            ("timed-weighted", weighted(&topology, seed)),
+        ] {
+            for (family, plan) in plan_families(&topology, seed) {
+                let timed = plan.timed(&TimedReplayConfig::drained(&topology, &latency));
+                for kind in EngineKind::ALL {
+                    let mut oracle = kind
                         .builder(topology.clone())
                         .validity(VALIDITY)
                         .seed(42)
                         .latency(latency.clone())
-                        .shards(shards)
                         .build();
-                    let end = run_plan_timed(e.as_mut(), &timed);
-                    assert!(end >= timed.horizon(), "{ctx}: clock stalled");
-                    assert_eq!(
-                        e.deliveries(),
-                        oracle.deliveries(),
-                        "{ctx}: delivered log diverged from the single-shard oracle"
-                    );
-                    // see the flushed battery: traffic equality holds for
-                    // the deterministic engines; FSF's filter draws are
-                    // same-tick-order-sensitive
-                    if kind != EngineKind::FilterSplitForward {
-                        assert_eq!(e.steps(), oracle.steps(), "{ctx}: step count diverged");
+                    run_plan_timed(oracle.as_mut(), &timed);
+                    for shards in SHARD_SWEEP {
+                        let ctx =
+                            format!("seed {seed:#x} {kind}/{family}/{regime}/{shards} shards");
+                        let mut e = kind
+                            .builder(topology.clone())
+                            .validity(VALIDITY)
+                            .seed(42)
+                            .latency(latency.clone())
+                            .shards(shards)
+                            .build();
+                        let end = run_plan_timed(e.as_mut(), &timed);
+                        assert!(end >= timed.horizon(), "{ctx}: clock stalled");
+                        assert_eq!(
+                            e.deliveries(),
+                            oracle.deliveries(),
+                            "{ctx}: delivered log diverged from the single-shard oracle"
+                        );
+                        // see the flushed battery: traffic equality holds for
+                        // the deterministic engines; FSF's filter draws are
+                        // same-tick-order-sensitive
+                        if kind != EngineKind::FilterSplitForward {
+                            assert_eq!(e.steps(), oracle.steps(), "{ctx}: step count diverged");
+                        }
+                        assert_conserved(e.as_ref(), &ctx);
+                        assert_eq!(e.queue_depth(), 0, "{ctx}: not quiescent");
                     }
-                    assert_conserved(e.as_ref(), &ctx);
-                    assert_eq!(e.queue_depth(), 0, "{ctx}: not quiescent");
                 }
             }
         }

@@ -54,7 +54,7 @@ pub use events::{EventStore, SentScope};
 pub use msg::Msg;
 pub use node::{DedupMode, PubSubConfig, PubSubMsg, PubSubNode, StorageStats};
 pub use ranking::RankPolicy;
-pub use store::{AdvStore, Origin, Resplit, SubStore};
+pub use store::{AdvStore, Origin, RepairCounts, Resplit, SubStore};
 
 // Re-export the policy types callers configure nodes with.
 pub use fsf_subsumption::{FilterPolicy, SetFilterConfig};

@@ -31,13 +31,14 @@ pub enum Msg<O, R> {
     /// retraction straggler cannot wipe a route a newer `Move` established,
     /// and a `Move` straggler cannot resurrect a newer retraction.
     AdvDown(SensorId, u64),
-    /// A crash-recovery advertisement re-flood, carrying the sensor's
-    /// advertisement generation. Unlike `Adv`, repair floods are **not**
-    /// absorbed by the seen-set: they traverse the whole tree (structural
-    /// termination — a tree flood that never returns toward its sender
-    /// cannot loop), re-homing the advertisement's origin where the regraft
-    /// changed the path toward the station and triggering the operator
-    /// re-split toward the repaired direction. The generation keeps repair
+    /// An advertisement repair (crash recovery's seam offer, a heal offer,
+    /// or a relay of either), carrying the sensor's advertisement
+    /// generation. Unlike `Adv`, a repair is **not** absorbed by the
+    /// seen-set: it fills a hole, re-homes the advertisement's origin where
+    /// the regraft changed the path toward the station (triggering the
+    /// operator re-split toward the repaired direction) or raises the
+    /// generation — and is relayed on only when it changed something, so it
+    /// stops where the picture already agrees. The generation keeps repair
     /// and mobility floods ordered: a stale repair cannot resurrect a route
     /// superseded by a later `Move`, and a repair carrying a generation the
     /// node never saw replays the move it missed.

@@ -739,10 +739,12 @@ impl NodeBehavior for PubSubNode {
         }
     }
 
-    /// The crash-recovery protocol, node-local part: nodes adjacent to the
-    /// crash purge the corpse's per-origin state, and every station
-    /// re-floods its local advertisements ([`AdvStore::reflood_local`]).
-    /// The repair floods re-home stale origins and drive the operator
+    /// The crash-recovery protocol, node-local part: only the crashed
+    /// node's former neighbors act. They purge the corpse's per-origin
+    /// state, then the anchor and the orphans offer each other their live
+    /// advertisement picture across the new edges
+    /// ([`AdvStore::seam_offer`]). The repairs re-home stale origins,
+    /// relay only where they changed something, and drive the operator
     /// re-split, so subscriber-side projections that had been routed
     /// through the dead node are re-established — idempotently, because
     /// unchanged projections are never re-sent and operator delivery dedups
@@ -750,8 +752,8 @@ impl NodeBehavior for PubSubNode {
     fn on_recover(&mut self, delta: &fsf_network::RegraftDelta, ctx: &mut Ctx<'_, PubSubMsg>) {
         if delta.was_neighbor(self.id) {
             self.purge_crashed_origin(delta.crashed, ctx);
+            self.adverts.seam_offer(delta, ctx);
         }
-        self.adverts.reflood_local(ctx);
     }
 
     /// A severed link healed: offer this half's advertisement picture
@@ -1275,7 +1277,7 @@ mod tests {
         let delta = s.crash_and_regraft(NodeId(1), NodeId(2)).unwrap();
         s.run_recovery(&delta);
         s.run_to_quiescence();
-        assert!(s.stats.recovery_msgs() > 0, "re-flood was charged");
+        assert!(s.stats.recovery_msgs() > 0, "the seam repair was charged");
         // the anchor re-homed the advert onto the re-grafted edge…
         assert_eq!(
             s.node(NodeId(2))
@@ -1313,14 +1315,21 @@ mod tests {
 
     #[test]
     fn adv_repair_is_idempotent_on_an_intact_tree() {
-        // with no crash at all, a repair flood must change nothing but the
-        // recovery counters: same stores, same routes, no re-forwards
+        // with no crash at all, a repair changes nothing: same stores, same
+        // routes, no re-forwards — and the station absorbs its own repair
+        // instead of relaying it, because it changed nothing there
         let mut s = setup_single_sensor(PubSubConfig::fsf(2 * DT, 1));
         s.inject_and_run(NodeId(3), PubSubMsg::Subscribe(sub(1, &[(1, 0.0, 10.0)])));
         let subs_before = s.stats.sub_forwards();
         s.inject_and_run(NodeId(0), PubSubMsg::AdvRepair(adv(1, 0), 0));
         assert_eq!(s.stats.sub_forwards(), subs_before, "no operator re-sent");
-        assert_eq!(s.stats.recovery_msgs(), 3, "repair traversed the 3 links");
+        assert_eq!(
+            s.stats.recovery_msgs(),
+            0,
+            "an unchanged picture relays nothing"
+        );
+        let counts = s.node(NodeId(0)).adverts().repair_counts();
+        assert_eq!((counts.applied, counts.absorbed), (0, 1));
         s.inject_and_run(NodeId(0), PubSubMsg::Publish(ev(100, 1, 0, 5.0, 1000)));
         assert_eq!(s.deliveries.delivered(SubId(1)).len(), 1);
     }

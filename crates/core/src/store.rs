@@ -9,7 +9,7 @@
 
 use crate::msg::Msg;
 use fsf_model::{Advertisement, SensorId};
-use fsf_network::{ChargeKind, Ctx, NodeId};
+use fsf_network::{ChargeKind, Ctx, NodeId, RegraftDelta};
 use fsf_subsumption::OperatorTable;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -56,6 +56,25 @@ pub enum AdvUpdate {
     },
 }
 
+/// What [`AdvStore::repair`] did with the `AdvRepair`s a node received:
+/// plain counters, read by summing over nodes on request.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct RepairCounts {
+    /// Repairs that changed this node's picture (a hole filled, a route
+    /// re-homed or a generation raised) and were relayed on.
+    pub applied: u64,
+    /// Repairs that changed nothing here (stale, or the same generation
+    /// through the same origin) and were not relayed.
+    pub absorbed: u64,
+}
+
+impl std::ops::AddAssign for RepairCounts {
+    fn add_assign(&mut self, other: Self) {
+        self.applied += other.applied;
+        self.absorbed += other.absorbed;
+    }
+}
+
 /// The advertisement side of a node's state: one `DSA` list per origin,
 /// plus a global seen-set to make flooding idempotent and a per-sensor
 /// generation counter that orders re-advertisements (sensor mobility).
@@ -68,6 +87,11 @@ pub struct AdvStore {
     /// outlive [`AdvStore::remove`] as tombstones, so a stale flood that
     /// raced a retraction cannot re-insert a superseded advertisement.
     gens: BTreeMap<SensorId, u64>,
+    /// Neighbors this node saw crash. What is still filed under one of
+    /// them is stale (a later recovery re-homes it) and is never offered
+    /// at a seam.
+    corpses: BTreeSet<NodeId>,
+    repairs: RepairCounts,
 }
 
 impl AdvStore {
@@ -253,7 +277,7 @@ impl AdvStore {
 
     /// Retraction tombstones: sensors whose advertisement was removed but
     /// whose generation entry survives to absorb stale floods, paired with
-    /// the surviving generation. Partition healing re-floods these so a
+    /// the surviving generation. Partition healing re-offers these so a
     /// peer that missed the retraction drops its superseded route instead
     /// of resurrecting it.
     pub fn tombstones(&self) -> impl Iterator<Item = (SensorId, u64)> + '_ {
@@ -261,6 +285,12 @@ impl AdvStore {
             .iter()
             .filter(|(s, _)| !self.seen.contains(s))
             .map(|(&s, &g)| (s, g))
+    }
+
+    /// How many received repairs this node applied and absorbed.
+    #[must_use]
+    pub fn repair_counts(&self) -> RepairCounts {
+        self.repairs
     }
 }
 
@@ -369,10 +399,14 @@ impl AdvStore {
         Some(resplit_targets(update, origin))
     }
 
-    /// A crash-recovery re-flood arrived: fill the hole or re-home the
-    /// origin if the repaired tree reaches the station through a different
-    /// neighbor ([`AdvStore::apply_repair`]), and propagate the flood
-    /// structurally. Returns where to re-split.
+    /// A repair arrived (a seam offer, a heal offer, or a neighbor's relay
+    /// of either): fill the hole, re-home the origin or raise the
+    /// generation ([`AdvStore::apply_repair`]), and relay it to every other
+    /// neighbor **only if it changed this node's picture**. A stale repair,
+    /// or one at the known generation through the origin already stored,
+    /// is absorbed: every node beyond holds what this node holds, so the
+    /// repair stops where it stops changing anything. Returns where to
+    /// re-split.
     pub fn repair<O, R>(
         &mut self,
         origin: Origin,
@@ -380,22 +414,76 @@ impl AdvStore {
         gen: u64,
         ctx: &mut Ctx<'_, Msg<O, R>>,
     ) -> Resplit {
+        let known = self.generation(adv.sensor);
         let update = self.apply_repair(origin, adv, gen);
-        flood(ctx, origin, ChargeKind::Recovery, || {
-            Msg::AdvRepair(adv, gen)
-        });
+        let changed = match update {
+            AdvUpdate::Stale => false,
+            AdvUpdate::Refreshed => gen > known,
+            AdvUpdate::Inserted | AdvUpdate::Moved { .. } => true,
+        };
+        if changed {
+            self.repairs.applied += 1;
+            flood(ctx, origin, ChargeKind::Recovery, || {
+                Msg::AdvRepair(adv, gen)
+            });
+        } else {
+            self.repairs.absorbed += 1;
+        }
         resplit_targets(update, origin)
     }
 
-    /// Crash recovery, station side: re-flood every local advertisement to
-    /// every neighbor over the re-grafted tree, at its known generation (a
-    /// full re-flood; partial-state handoff is a recorded follow-on).
-    pub fn reflood_local<O, R>(&self, ctx: &mut Ctx<'_, Msg<O, R>>) {
-        for &adv in self.from_origin(Origin::Local) {
-            let gen = self.generation(adv.sensor);
-            flood(ctx, Origin::Local, ChargeKind::Recovery, || {
-                Msg::AdvRepair(adv, gen)
-            });
+    /// Send `peer` a generation-tagged repair for every advertisement this
+    /// node reaches through an origin other than `peer` for which `keep`
+    /// holds.
+    fn offer_through<O, R>(
+        &self,
+        peer: NodeId,
+        keep: impl Fn(Origin) -> bool,
+        ctx: &mut Ctx<'_, Msg<O, R>>,
+    ) {
+        for origin in self
+            .origins()
+            .filter(|&o| o != Origin::Neighbor(peer) && keep(o))
+        {
+            for &adv in self.from_origin(origin) {
+                let gen = self.generation(adv.sensor);
+                ctx.send(peer, Msg::AdvRepair(adv, gen), ChargeKind::Recovery, 1);
+            }
+        }
+    }
+
+    /// Crash recovery at the regraft seam, run by the crashed node's
+    /// former neighbors. A regraft changes the next hop only at those
+    /// nodes: the anchor now reaches each orphaned subtree through its
+    /// root, and each orphan reaches the rest of the tree through the
+    /// anchor. So the anchor offers each orphan, and each orphan offers the
+    /// anchor, every advertisement it reaches through a live origin — this
+    /// node itself, or a current neighbor other than that peer that it has
+    /// not seen crash. What is still filed under a corpse is the stale half
+    /// of the picture and is never offered. The receivers re-home what
+    /// moved and relay it on ([`AdvStore::repair`]), and the relay stops
+    /// where nothing changes. A peer that is no longer a neighbor (a later
+    /// crash rewired it before this deferred recovery ran) is skipped: the
+    /// later regraft's own seam covers it.
+    pub fn seam_offer<O, R>(&mut self, delta: &RegraftDelta, ctx: &mut Ctx<'_, Msg<O, R>>) {
+        self.corpses.insert(delta.crashed);
+        let me = ctx.node();
+        let peers = if me == delta.anchor {
+            delta.orphans.as_slice()
+        } else {
+            std::slice::from_ref(&delta.anchor)
+        };
+        let neighbors = ctx.neighbors().to_vec();
+        let adjacent = |n: &NodeId| neighbors.binary_search(n).is_ok();
+        let live = |o: Origin| match o {
+            Origin::Local => true,
+            Origin::Neighbor(n) => adjacent(&n) && !self.corpses.contains(&n),
+        };
+        for &peer in peers
+            .iter()
+            .filter(|&p| adjacent(p) && !self.corpses.contains(p))
+        {
+            self.offer_through(peer, live, ctx);
         }
     }
 
@@ -405,18 +493,13 @@ impl AdvStore {
     /// then every advertisement this node reaches *not* through the peer
     /// is re-offered as a generation-tagged repair (highest generation wins
     /// at the receiver, exactly the crash-repair ordering). The peer runs
-    /// the same hook, so the two repair floods converge the divergent
-    /// halves.
+    /// the same hook; each side relays only what changed its picture, so
+    /// the repair reaches exactly the part of the other half that diverged.
     pub fn offer<O, R>(&self, peer: NodeId, ctx: &mut Ctx<'_, Msg<O, R>>) {
         for (sensor, gen) in self.tombstones() {
             ctx.send(peer, Msg::AdvDown(sensor, gen), ChargeKind::Recovery, 1);
         }
-        for origin in self.origins().filter(|&o| o != Origin::Neighbor(peer)) {
-            for &adv in self.from_origin(origin) {
-                let gen = self.generation(adv.sensor);
-                ctx.send(peer, Msg::AdvRepair(adv, gen), ChargeKind::Recovery, 1);
-            }
-        }
+        self.offer_through(peer, |_| true, ctx);
     }
 }
 

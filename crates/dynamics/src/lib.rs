@@ -22,7 +22,10 @@
 //!   still in flight);
 //! * [`invariants`] — leak checks: a fully torn-down network must return
 //!   to its post-bootstrap state — no operators, no stored events, no
-//!   advertisements, no forwarding routes on any surviving node.
+//!   advertisements, no forwarding routes on any surviving node;
+//! * [`truth`] — the routing-truth oracle: from the actions alone, where
+//!   every live node must file every live sensor's advertisement on the
+//!   current topology, and at which generation.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -30,6 +33,7 @@
 pub mod invariants;
 pub mod plan;
 pub mod runner;
+pub mod truth;
 
 pub use invariants::{assert_clean, leaks};
 pub use plan::{
@@ -37,3 +41,4 @@ pub use plan::{
     TimedPlan, TimedReplayConfig,
 };
 pub use runner::{apply_action, run_plan, run_plan_timed, run_plan_timed_traced, run_plan_traced};
+pub use truth::{run_plan_checked, RoutingTruth, TruthChecks};

@@ -258,7 +258,7 @@ pub struct ChurnPlan {
 impl ChurnPlan {
     /// How many flood-drain gaps a crash or recovery gets in a timed
     /// schedule: the recovery cascade spans up to three tree traversals
-    /// (advertisement re-flood, operator re-forward, event re-send), plus
+    /// (advertisement repair, operator re-forward, event re-send), plus
     /// slack.
     pub const RECOVERY_GAP_FACTOR: u64 = 4;
 

@@ -1,6 +1,7 @@
 //! The uniform engine facade the experiment driver runs against.
 
 use crate::builder::EngineBuilder;
+use fsf_core::{Origin, RepairCounts};
 use fsf_model::{Advertisement, Event, SensorId, SubId, Subscription};
 use fsf_network::{
     DeliveryLog, LatencySummary, NodeId, RegraftDelta, Topology, TopologyError, TrafficStats,
@@ -66,13 +67,48 @@ pub struct RecoveryStats {
     /// Crash events whose recovery protocol has run (equals `crashes` under
     /// auto-recovery; lags behind while recovery is deferred).
     pub recoveries: u64,
-    /// Advertisement re-flood messages network-wide (mirrors
+    /// Advertisement repair messages network-wide: the seam offers of
+    /// crash recovery and the heal offers, plus every relay of a repair
+    /// that changed its receiver's picture (mirrors
     /// `stats().recovery_msgs()` — the protocol's repair cost).
     pub repair_msgs: u64,
     /// Management-plane injections issued during recovery: retractions for
     /// state hosted on the corpse, plus the centralized baseline's
     /// re-registrations.
     pub control_injections: u64,
+    /// Received repairs that changed their node's picture (filled a hole,
+    /// re-homed a route or raised a generation) and were relayed on,
+    /// summed over every node, crashed ones included.
+    pub repairs_applied: u64,
+    /// Received repairs that changed nothing and stopped there.
+    pub repairs_absorbed: u64,
+}
+
+/// One advertisement as a live node holds it: the origin it is filed
+/// under — `Local` at the sensor's host, otherwise the neighbor the node
+/// routes toward the host through — and the generation it knows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AdvRoute {
+    /// The advertised sensor.
+    pub sensor: SensorId,
+    /// Where the node files the advertisement.
+    pub origin: Origin,
+    /// The sensor's advertisement generation known at the node.
+    pub gen: u64,
+}
+
+/// Every advertisement a node holds, as [`AdvRoute`]s in origin order.
+pub(crate) fn adv_routes(adverts: &fsf_core::AdvStore) -> Vec<AdvRoute> {
+    adverts
+        .origins()
+        .flat_map(|origin| {
+            adverts.from_origin(origin).iter().map(move |a| AdvRoute {
+                sensor: a.sensor,
+                origin,
+                gen: adverts.generation(a.sensor),
+            })
+        })
+        .collect()
 }
 
 /// Engine-wrapper bookkeeping for the recovery management plane, shared by
@@ -98,6 +134,9 @@ pub struct RecoveryPlane {
     pub(crate) sensor_gens: BTreeMap<SensorId, u64>,
     /// Successful `move_sensor` calls.
     pub(crate) moves: u64,
+    /// Repair counts of crashed nodes, folded in at the crash by engines
+    /// that cannot read a corpse afterwards.
+    pub(crate) corpse_repairs: RepairCounts,
     /// Tombstones: every sensor that ever departed — retracted by its user
     /// or dead in a crash. Recovery re-announces them at the crash
     /// frontier, because a retraction flood the crash severed in flight
@@ -123,6 +162,7 @@ impl RecoveryPlane {
             sub_hosts: BTreeMap::new(),
             sensor_gens: BTreeMap::new(),
             moves: 0,
+            corpse_repairs: RepairCounts::default(),
             dead_sensors: BTreeSet::new(),
             dead_subs: BTreeSet::new(),
         }
@@ -218,12 +258,14 @@ impl RecoveryPlane {
             .collect()
     }
 
-    pub(crate) fn stats(&self, repair_msgs: u64) -> RecoveryStats {
+    pub(crate) fn stats(&self, repair_msgs: u64, repairs: RepairCounts) -> RecoveryStats {
         RecoveryStats {
             crashes: self.crashes,
             recoveries: self.recoveries,
             repair_msgs,
             control_injections: self.control_injections,
+            repairs_applied: repairs.applied,
+            repairs_absorbed: repairs.absorbed,
         }
     }
 }
@@ -286,10 +328,10 @@ pub trait EngineControl {
     fn crash_node(&mut self, node: NodeId, anchor: NodeId) -> Result<(), TopologyError>;
     /// Toggle automatic crash recovery (default **on**): when enabled,
     /// `crash_node` immediately runs the recovery protocol over the
-    /// re-grafted tree (advertisement re-floods, operator re-forwards,
-    /// management-plane retraction of corpse-hosted state); when disabled,
-    /// crashes degrade the network — the pre-recovery behavior — until
-    /// [`EngineControl::recover`] is called.
+    /// re-grafted tree (advertisement repairs across the regraft seam,
+    /// operator re-forwards, management-plane retraction of corpse-hosted
+    /// state); when disabled, crashes degrade the network — the
+    /// pre-recovery behavior — until [`EngineControl::recover`] is called.
     fn set_auto_recover(&mut self, on: bool);
     /// Run the recovery protocol for every crash still pending (a no-op
     /// when auto-recovery already handled them). Schedules the recovery
@@ -354,6 +396,10 @@ pub trait EngineIntrospect {
     /// Per-node residual state (downed nodes excluded — they died with
     /// their state).
     fn footprint(&self) -> Vec<NodeFootprint>;
+    /// Every live node's advertisement picture, in node order (downed
+    /// nodes excluded; empty for a family without advertisements). This
+    /// is what a routing oracle checks against the current topology.
+    fn advert_routes(&self) -> Vec<(NodeId, Vec<AdvRoute>)>;
     /// The network's virtual clock (0 until a nonzero-latency message or
     /// `run_until` horizon advances it).
     fn now(&self) -> u64;

@@ -17,13 +17,14 @@
 //! as every battery already does).
 
 use crate::api::{
-    EngineControl, EngineData, EngineIntrospect, MobilityStats, NodeFootprint, RecoveryPlane,
-    RecoveryStats,
+    adv_routes, AdvRoute, EngineControl, EngineData, EngineIntrospect, MobilityStats,
+    NodeFootprint, RecoveryPlane, RecoveryStats,
 };
 use crate::protocol::Protocol;
+use fsf_core::RepairCounts;
 use fsf_model::{Advertisement, Event, SensorId, SubId, Subscription};
 use fsf_network::{
-    DeliveryLog, LatencyModel, LatencySummary, NodeId, RegraftDelta, Topology, TopologyError,
+    Ctx, DeliveryLog, LatencyModel, LatencySummary, NodeId, RegraftDelta, Topology, TopologyError,
     TrafficStats,
 };
 use fsf_runtime::{HostConfig, HostMode, NodeHost};
@@ -71,6 +72,42 @@ impl<P: Protocol> AsyncEngine<P> {
     fn refresh(&mut self) {
         self.stats_cache = self.host.stats();
         self.host.drain_deliveries_into(&mut self.deliveries_cache);
+    }
+
+    /// `read` applied to node `id` on its own task.
+    fn read_node<T: Send + 'static>(
+        &self,
+        id: NodeId,
+        read: impl FnOnce(&P::Node) -> T + Send + 'static,
+    ) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run = Box::new(move |node: &mut P::Node, _: &mut Ctx<'_, P::Msg>| {
+            let _ = tx.send(read(node));
+        });
+        self.host.with_node(id, self.host.clock(), run);
+        rx.recv().expect("with_node returns after the closure ran")
+    }
+
+    /// `read` applied to every live node on its own task, in node order.
+    fn read_nodes<T: Send + 'static>(
+        &self,
+        read: impl Fn(&P::Node, NodeId) -> T + Clone + Send + 'static,
+    ) -> Vec<T> {
+        let ids = (0..self.host.topology().len() as u32).map(NodeId);
+        ids.filter(|&id| !self.host.is_down(id))
+            .map(|id| {
+                let read = read.clone();
+                self.read_node(id, move |node| read(node, id))
+            })
+            .collect()
+    }
+
+    fn repair_counts(&self) -> RepairCounts {
+        let mut sum = self.recovery.corpse_repairs;
+        for c in self.read_nodes(|node, _| P::adverts_of(node).map(|a| a.repair_counts())) {
+            sum += c.unwrap_or_default();
+        }
+        sum
     }
 
     fn apply_recovery(&mut self, delta: &RegraftDelta) {
@@ -166,9 +203,20 @@ impl<P: Protocol> EngineControl for AsyncEngine<P> {
         // nothing queued-to-corpse needs purging (the simulator's purge
         // counters correspond to the host's dropped-at-the-wire ledger)
         self.host.wait_quiescent();
+        // a corpse accepts no control traffic: read its repair counts now
+        let corpse = if self.host.is_down(node) {
+            RepairCounts::default()
+        } else {
+            self.read_node(node, |n| {
+                P::adverts_of(n)
+                    .map(|a| a.repair_counts())
+                    .unwrap_or_default()
+            })
+        };
         let delta = self
             .host
             .crash_and_regraft(node, anchor, self.host.clock())?;
+        self.recovery.corpse_repairs += corpse;
         self.proto.on_crash(node);
         if let Some(delta) = self.recovery.note_crash(delta) {
             self.apply_recovery(&delta);
@@ -233,30 +281,16 @@ impl<P: Protocol> EngineIntrospect for AsyncEngine<P> {
         }
     }
     fn recovery_stats(&self) -> RecoveryStats {
-        self.recovery.stats(self.host.stats().recovery_msgs())
+        let repairs = self.repair_counts();
+        self.recovery
+            .stats(self.host.stats().recovery_msgs(), repairs)
     }
     fn footprint(&self) -> Vec<NodeFootprint> {
-        let at = self.host.clock();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let mut live = 0usize;
-        for idx in 0..self.host.topology().len() {
-            let id = NodeId(idx as u32);
-            if self.host.is_down(id) {
-                continue;
-            }
-            live += 1;
-            let tx = tx.clone();
-            self.host.with_node(
-                id,
-                at,
-                Box::new(move |node, _ctx| {
-                    let _ = tx.send(P::footprint_of(node, id));
-                }),
-            );
-        }
-        let mut out: Vec<NodeFootprint> = rx.iter().take(live).collect();
-        out.sort_by_key(|f| f.node);
-        out
+        self.read_nodes(|node, id| P::footprint_of(node, id))
+    }
+    fn advert_routes(&self) -> Vec<(NodeId, Vec<AdvRoute>)> {
+        let read = |node: &P::Node, id| P::adverts_of(node).map(|a| (id, adv_routes(a)));
+        self.read_nodes(read).into_iter().flatten().collect()
     }
     fn now(&self) -> u64 {
         self.host.clock()

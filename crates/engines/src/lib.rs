@@ -34,11 +34,12 @@ mod sim_engine;
 pub mod wire;
 
 pub use api::{
-    Engine, EngineControl, EngineData, EngineIntrospect, EngineKind, MobilityStats, NodeFootprint,
-    RecoveryStats,
+    AdvRoute, Engine, EngineControl, EngineData, EngineIntrospect, EngineKind, MobilityStats,
+    NodeFootprint, RecoveryStats,
 };
 pub use builder::{ConfigError, Deploy, EngineBuilder};
 pub use centralized::{CentralMsg, CentralNode};
+pub use fsf_core::Origin;
 pub use fsf_subsumption::MatchMode;
 pub use multijoin::{MjMsg, MjNode};
 pub use protocol::{CentralProto, MjProto, Protocol, PubSubProto};

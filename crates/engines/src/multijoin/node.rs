@@ -711,15 +711,16 @@ impl NodeBehavior for MjNode {
         }
     }
 
-    /// Crash recovery, multi-join edition: nodes adjacent to the crash
-    /// purge the corpse's slot (with downstream retraction), and stations
-    /// re-flood their local advertisements; the repair floods drive the
-    /// decomposition re-forward.
+    /// Crash recovery, multi-join edition: the crashed node's former
+    /// neighbors purge the corpse's slot (with downstream retraction) and
+    /// offer each other their live advertisement picture across the new
+    /// edges ([`AdvStore::seam_offer`]); the repairs that change a route
+    /// drive the decomposition re-forward.
     fn on_recover(&mut self, delta: &fsf_network::RegraftDelta, ctx: &mut Ctx<'_, MjMsg>) {
         if delta.was_neighbor(self.id) {
             self.purge_crashed_origin(delta.crashed, ctx);
+            self.adverts.seam_offer(delta, ctx);
         }
-        self.adverts.reflood_local(ctx);
     }
 
     /// A severed link healed: offer this half's advertisement picture

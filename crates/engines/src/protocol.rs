@@ -25,7 +25,7 @@
 use crate::api::{NodeFootprint, RecoveryPlane};
 use crate::centralized::{CentralMsg, CentralNode};
 use crate::multijoin::{MjMsg, MjNode};
-use fsf_core::{PubSubConfig, PubSubMsg, PubSubNode};
+use fsf_core::{AdvStore, PubSubConfig, PubSubMsg, PubSubNode};
 use fsf_model::{Advertisement, Event, SensorId, SubId, Subscription};
 use fsf_network::{NodeBehavior, NodeId, Topology};
 use fsf_runtime::WireMsg;
@@ -63,6 +63,11 @@ pub trait Protocol: Send + 'static {
     fn msg_move(&self, adv: Advertisement, gen: u64) -> Self::Msg;
     /// Residual-state counters of one node.
     fn footprint_of(node: &Self::Node, id: NodeId) -> NodeFootprint;
+    /// The node's advertisement store; `None` for a family without one
+    /// (centralized).
+    fn adverts_of(_node: &Self::Node) -> Option<&AdvStore> {
+        None
+    }
     /// Engine-level bookkeeping at a crash (before recovery planning).
     fn on_crash(&mut self, _corpse: NodeId) {}
     /// The management-plane injections completing one crash's recovery;
@@ -157,6 +162,9 @@ impl Protocol for PubSubProto {
             routes: st.forwarded_routes,
         }
     }
+    fn adverts_of(node: &PubSubNode) -> Option<&AdvStore> {
+        Some(node.adverts())
+    }
     fn recovery_injections(
         &self,
         plane: &RecoveryPlane,
@@ -224,6 +232,9 @@ impl Protocol for MjProto {
             stored_events,
             routes,
         }
+    }
+    fn adverts_of(node: &MjNode) -> Option<&AdvStore> {
+        Some(node.adverts())
     }
     fn recovery_injections(
         &self,

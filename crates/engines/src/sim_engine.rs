@@ -3,10 +3,11 @@
 //! generic over the family's [`Protocol`] and an optional telemetry sink.
 
 use crate::api::{
-    EngineControl, EngineData, EngineIntrospect, MobilityStats, NodeFootprint, RecoveryPlane,
-    RecoveryStats,
+    adv_routes, AdvRoute, EngineControl, EngineData, EngineIntrospect, MobilityStats,
+    NodeFootprint, RecoveryPlane, RecoveryStats,
 };
 use crate::protocol::Protocol;
+use fsf_core::RepairCounts;
 use fsf_model::{Advertisement, Event, SensorId, SubId, Subscription};
 use fsf_network::{
     DeliveryLog, LatencyModel, LatencySummary, NodeId, RegraftDelta, Simulator, Topology,
@@ -79,8 +80,8 @@ impl<P: Protocol, S: TelemetrySink> SimEngine<P, S> {
         }
     }
 
-    /// Run one crash's recovery: the node-level protocol (purge +
-    /// advertisement re-flood over the re-grafted tree), then the family's
+    /// Run one crash's recovery: the node-level protocol (purge + seam
+    /// repair across the re-grafted edges), then the family's
     /// management-plane injections at the crash frontier.
     fn apply_recovery(&mut self, delta: &RegraftDelta) {
         let start = self.sim.now();
@@ -239,7 +240,23 @@ impl<P: Protocol, S: TelemetrySink> EngineIntrospect for SimEngine<P, S> {
         }
     }
     fn recovery_stats(&self) -> RecoveryStats {
-        self.recovery.stats(self.sim.stats.recovery_msgs())
+        // every node, corpses included: the simulator keeps their state
+        let mut repairs = RepairCounts::default();
+        for id in self.sim.topology().nodes() {
+            if let Some(adverts) = P::adverts_of(self.sim.node(id)) {
+                repairs += adverts.repair_counts();
+            }
+        }
+        self.recovery.stats(self.sim.stats.recovery_msgs(), repairs)
+    }
+    fn advert_routes(&self) -> Vec<(NodeId, Vec<AdvRoute>)> {
+        let live = self
+            .sim
+            .topology()
+            .nodes()
+            .filter(|&id| !self.sim.is_down(id));
+        live.filter_map(|id| P::adverts_of(self.sim.node(id)).map(|a| (id, adv_routes(a))))
+            .collect()
     }
     fn footprint(&self) -> Vec<NodeFootprint> {
         self.sim

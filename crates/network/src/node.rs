@@ -33,9 +33,11 @@ pub trait NodeBehavior {
     fn on_topology_change(&mut self, _topology: &Topology) {}
 
     /// Run this node's part of the crash-recovery protocol for one
-    /// `crash + regraft` event: purge per-origin state that referenced the
-    /// crashed neighbor, and (for nodes hosting data sources) re-flood
-    /// advertisements over the re-grafted tree. Invoked through
+    /// `crash + regraft` event. Only the crashed node's former neighbors
+    /// (the `delta`'s anchor and orphans) have anything to do: they purge
+    /// per-origin state that referenced the corpse and exchange repairs
+    /// across the new edges, where the regraft changed their next hops;
+    /// every other node's routes are unchanged. Invoked through
     /// [`Simulator::run_recovery`](crate::Simulator::run_recovery) with a live [`Ctx`], so recovery traffic
     /// is scheduled on the virtual clock and races in-flight floods like
     /// any other message. The default is a no-op (test behaviours, plain

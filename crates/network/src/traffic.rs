@@ -26,9 +26,10 @@ pub enum ChargeKind {
     Subscription,
     /// Simple-event data units (Algorithm 5 / result sets).
     Event,
-    /// Crash-recovery control traffic (advertisement re-floods after a
-    /// `crash + regraft`). Reported separately so the recovery protocol's
-    /// cost is visible next to the paper's load metrics.
+    /// Crash-recovery and heal control traffic (advertisement repairs
+    /// after a `crash + regraft` or across a healed link). Reported
+    /// separately so the recovery protocol's cost is visible next to the
+    /// paper's load metrics.
     Recovery,
     /// Sensor-mobility control traffic: the generation-tagged `Move`
     /// re-advertisement flood a station emits when a known sensor id
@@ -111,7 +112,7 @@ impl LinkTraffic {
         self.by_kind(ChargeKind::Event)
     }
 
-    /// Recovery re-flood messages over this directed link.
+    /// Recovery repair messages over this directed link.
     #[must_use]
     pub fn recovery(&self) -> u64 {
         self.by_kind(ChargeKind::Recovery)
@@ -199,8 +200,8 @@ impl TrafficStats {
         self.by_kind(ChargeKind::Event)
     }
 
-    /// Total crash-recovery re-flood messages (excluded from the paper's
-    /// load comparison, like advertisement traffic).
+    /// Total crash-recovery and heal repair messages (excluded from the
+    /// paper's load comparison, like advertisement traffic).
     #[must_use]
     pub fn recovery_msgs(&self) -> u64 {
         self.by_kind(ChargeKind::Recovery)

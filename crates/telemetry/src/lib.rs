@@ -75,7 +75,7 @@ pub enum TrafficClass {
     Subscription,
     /// Simple-event data units.
     Event,
-    /// Crash-recovery re-flood traffic.
+    /// Crash-recovery and heal repair traffic.
     Recovery,
     /// Sensor-mobility handoff traffic.
     Handoff,

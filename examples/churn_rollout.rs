@@ -3,7 +3,8 @@
 //! A 63-node tree boots a dozen sensors, then lives through a seeded churn
 //! plan — users come and go, sensors join and depart, and *interior relay
 //! nodes crash* — while readings keep flowing. Every crash is followed by
-//! the recovery protocol (advertisement re-floods, operator re-forwards),
+//! the recovery protocol (advertisement repairs across the regraft seam,
+//! operator re-forwards),
 //! so recall survives the outages. At the end the deployment is fully torn
 //! down and every surviving node is checked for leaked state (operators,
 //! events, advertisements, routes).

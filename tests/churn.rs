@@ -4,7 +4,9 @@
 //! return every node to its post-bootstrap empty state. Plus fault
 //! injection: a crashed node must degrade the network, not wedge it.
 
-use fsf::dynamics::{assert_clean, leaks, run_plan, ChurnAction, ChurnPlan, ChurnPlanConfig};
+use fsf::dynamics::{
+    assert_clean, leaks, run_plan, run_plan_checked, ChurnAction, ChurnPlan, ChurnPlanConfig,
+};
 use fsf::model::attrs;
 use fsf::network::difference;
 use fsf::prelude::*;
@@ -13,8 +15,9 @@ const VALIDITY: u64 = 60;
 
 /// Replay one seeded plan through all five engines and assert the standing
 /// churn invariants: deterministic engines agree event-for-event on every
-/// delivery, FSF stays inside ground truth, and teardown leaves every
-/// surviving node empty.
+/// delivery, FSF stays inside ground truth, teardown leaves every
+/// surviving node empty, and after every crash recovery the advertising
+/// engines hold the routing truth.
 fn assert_five_engine_equivalence(topology: &Topology, plan: &ChurnPlan, label: &str) {
     let full = plan.clone().with_teardown();
     let subs: Vec<SubId> = plan
@@ -37,7 +40,7 @@ fn assert_five_engine_equivalence(topology: &Topology, plan: &ChurnPlan, label: 
                 .validity(VALIDITY)
                 .seed(42)
                 .build();
-            run_plan(e.as_mut(), &full);
+            run_plan_checked(e.as_mut(), topology, &full);
             (kind, e)
         })
         .collect();

@@ -14,7 +14,9 @@
 //! `scheduled_total == steps + dropped_from_queue + queue_depth`, with
 //! `dropped_severed` a sub-account of the queue drops.
 
-use fsf::dynamics::{leaks, run_plan, ChurnAction, ChurnPlan, PartitionPlanConfig};
+use fsf::dynamics::{
+    leaks, run_plan, run_plan_checked, ChurnAction, ChurnPlan, PartitionPlanConfig,
+};
 use fsf::network::{builders, difference, LatencyModel};
 use fsf::prelude::*;
 
@@ -77,7 +79,8 @@ fn partitioned_engines_serve_reachable_subs_and_reconcile_on_heal() {
                     .seed(42)
                     .latency(latency.clone())
                     .build();
-                run_plan(p.as_mut(), &plan);
+                let checked = run_plan_checked(p.as_mut(), &topology, &plan);
+                assert!(checked.points > 0, "{ctx}: no heal was checked");
                 let mut t = kind
                     .builder(topology.clone())
                     .validity(VALIDITY)
@@ -211,7 +214,7 @@ fn async_runtime_agrees_with_the_simulator_across_a_partition() {
                 .deploy(Deploy::Async { workers: 4 })
                 .mailbox(8)
                 .build();
-            run_plan(asy.as_mut(), &plan);
+            run_plan_checked(asy.as_mut(), &topology, &plan);
             assert_eq!(
                 asy.deliveries(),
                 sim.deliveries(),
@@ -315,7 +318,7 @@ fn heal_reconciles_moves_and_tombstones_made_during_the_split() {
     ]);
     for kind in EngineKind::ALL {
         let mut e = kind.build(topo.clone(), VALIDITY, 42);
-        run_plan(e.as_mut(), &plan);
+        run_plan_checked(e.as_mut(), &topo, &plan);
         let y = e.deliveries().delivered(SubId(2)).to_vec();
         for id in [100, 101, 102, 103] {
             assert!(

@@ -8,7 +8,17 @@
 //! set, and `DeliveryLog` equality (per-subscription sets **and** the
 //! complex-delivery count) proves both full recall and duplicate-freedom
 //! in one comparison.
+//!
+//! The advertisement plane has its own oracle, independent of the
+//! protocol: [`fsf::dynamics::RoutingTruth`] says where every live node
+//! must file every live sensor on the current topology, and at which
+//! generation. Seeded crash plans, cascades (a dead anchor, a dead orphan)
+//! and deferred recovery are all held to it at quiescence, on the
+//! simulator and on the async host, for both advertising families — and
+//! an auto-recovered crash must apply exactly one repair per route the
+//! regraft changed.
 
+use fsf::dynamics::{leaks, run_plan_checked};
 use fsf::network::{builders, difference, DeliveryLog, LatencyModel, Topology};
 use fsf::prelude::*;
 use rand::rngs::StdRng;
@@ -447,4 +457,291 @@ fn regraft_under_paused_flood_races_recovery_traffic() {
             "{kind}: delivery lost in the crash/flood race"
         );
     }
+}
+
+/// The two advertising families (the other three engines share the
+/// pub/sub node with FSF).
+const FAMILIES: [EngineKind; 2] = [EngineKind::FilterSplitForward, EngineKind::MultiJoin];
+
+/// Every deployment the routing truth is checked on: the simulator with
+/// zero and with hop latency, and the async host.
+fn deployments(kind: EngineKind, topology: &Topology) -> Vec<(String, Box<dyn Engine>)> {
+    let base = || kind.builder(topology.clone()).validity(VALIDITY).seed(42);
+    vec![
+        (format!("{kind}/sim"), base().build()),
+        (
+            format!("{kind}/sim hop 1"),
+            base().latency(LatencyModel::Uniform { hop: 1 }).build(),
+        ),
+        (
+            format!("{kind}/async"),
+            base().deploy(Deploy::Async { workers: 2 }).build(),
+        ),
+    ]
+}
+
+fn sensor(node: u32, id: u32) -> ChurnAction {
+    ChurnAction::SensorUp {
+        node: NodeId(node),
+        adv: Advertisement {
+            sensor: SensorId(id),
+            attr: AttrId((id % 5) as u16),
+            location: Point::new(f64::from(id), 0.0),
+        },
+    }
+}
+
+fn crash(node: u32, anchor: u32) -> ChurnAction {
+    ChurnAction::Crash {
+        node: NodeId(node),
+        anchor: NodeId(anchor),
+    }
+}
+
+/// Seeded interior-crash plans with moves (the churn battery's shape):
+/// after every auto-recovered crash the advertisement picture is the
+/// routing truth, and the repairs applied are exactly the routes the
+/// regraft changed.
+#[test]
+fn seeded_crash_plans_meet_the_routing_truth_on_both_substrates() {
+    let topology = builders::balanced(63, 2);
+    for seed in [0x7207_0005u64, 0x7207_0008] {
+        let plan = ChurnPlan::seeded(
+            &topology,
+            &ChurnPlanConfig {
+                seed,
+                churn_actions: 40,
+                initial_sensors: 10,
+                with_crashes: true,
+                crash_interior: true,
+                min_crashes: 2,
+                with_moves: true,
+                protected_nodes: vec![topology.median()],
+                ..ChurnPlanConfig::default()
+            },
+        )
+        .with_teardown();
+        for kind in FAMILIES {
+            for (label, mut e) in deployments(kind, &topology) {
+                let done = run_plan_checked(e.as_mut(), &topology, &plan);
+                assert!(
+                    done.counted_crashes >= 2,
+                    "seed {seed:#x} {label}: {done:?}"
+                );
+                assert!(done.routes > 0, "seed {seed:#x} {label}: nothing checked");
+                let stats = e.recovery_stats();
+                assert!(
+                    stats.repairs_applied > 0 && stats.repairs_absorbed > 0,
+                    "seed {seed:#x} {label}: {stats:?}"
+                );
+                assert!(
+                    leaks(e.as_mut()).is_empty(),
+                    "seed {seed:#x} {label}: leaked"
+                );
+            }
+        }
+    }
+}
+
+/// Cascades under auto-recovery: a crash whose orphan is a corpse left by
+/// an earlier crash (the anchor offers into it; the offer dies at the
+/// radio), then a crash of the anchor that had adopted everything.
+#[test]
+fn cascading_crashes_meet_the_routing_truth() {
+    // balanced(15): root n0, children n1/n2; n1's children n3/n4; n3's
+    // children n7/n8. Sensors on every leaf and on n2.
+    let topology = builders::balanced(15, 2);
+    let mut actions: Vec<ChurnAction> = (7..15).map(|n| sensor(n, n)).collect();
+    actions.push(sensor(2, 2));
+    actions.extend([
+        crash(3, 1), // n7, n8 move onto n1; n3 is a leaf corpse on n1
+        ChurnAction::Recover,
+        crash(1, 0), // orphans: n3 (a corpse), n4, n7, n8
+        ChurnAction::Recover,
+        crash(0, 2), // the anchor of the last crash dies too
+        ChurnAction::Recover,
+    ]);
+    let plan = ChurnPlan::scripted(actions);
+    for kind in FAMILIES {
+        for (label, mut e) in deployments(kind, &topology) {
+            let done = run_plan_checked(e.as_mut(), &topology, &plan);
+            assert_eq!(done.counted_crashes, 3, "{label}: {done:?}");
+        }
+    }
+}
+
+/// Deferred recovery over several regrafts: with auto-recovery off, the
+/// crashes pile up — the first crash's anchor dies, then one of the
+/// second crash's orphans — while sensors come, go and move over the
+/// degraded tree; one `recover()` then runs every pending delta in crash
+/// order, and the picture must be the truth at quiescence.
+#[test]
+fn deferred_recovery_of_cascading_crashes_meets_the_routing_truth() {
+    let topology = builders::balanced(31, 2);
+    let mut actions: Vec<ChurnAction> = (15..31).step_by(2).map(|n| sensor(n, n)).collect();
+    actions.extend([
+        sensor(5, 5),
+        crash(1, 3), // n0, n4 onto n3
+        crash(3, 0), // the anchor dies: n1 (corpse), n4, n7, n8 onto n0
+        ChurnAction::SensorDown {
+            node: NodeId(17),
+            sensor: SensorId(17),
+        },
+        crash(2, 6), // n0, n5 onto n6
+        ChurnAction::Move {
+            node: NodeId(16),
+            adv: Advertisement {
+                sensor: SensorId(29),
+                attr: AttrId(4),
+                location: Point::new(29.0, 0.0),
+            },
+            from: NodeId(29),
+        },
+        crash(6, 13), // the last anchor dies: n2 (corpse), n0, n5, n14 onto n13
+        sensor(4, 4),
+        ChurnAction::Recover,
+    ]);
+    let plan = ChurnPlan::scripted(actions);
+    for kind in FAMILIES {
+        for (label, mut e) in deployments(kind, &topology) {
+            e.set_auto_recover(false);
+            let done = run_plan_checked(e.as_mut(), &topology, &plan);
+            assert_eq!((done.points, done.counted_crashes), (1, 0), "{label}");
+            assert_eq!(e.recovery_stats().recoveries, 4, "{label}");
+        }
+    }
+}
+
+/// A generated crash plan with every recovery deferred to the end: every
+/// crash of the plan is pending when the one `recover()` runs.
+#[test]
+fn deferring_every_recovery_of_a_seeded_plan_meets_the_routing_truth() {
+    let topology = builders::balanced(63, 2);
+    let seeded = ChurnPlan::seeded(
+        &topology,
+        &ChurnPlanConfig {
+            seed: 0x7207_00DE,
+            churn_actions: 40,
+            initial_sensors: 12,
+            with_crashes: true,
+            crash_interior: true,
+            min_crashes: 3,
+            with_moves: true,
+            protected_nodes: vec![topology.median()],
+            ..ChurnPlanConfig::default()
+        },
+    );
+    let mut actions: Vec<ChurnAction> = seeded
+        .actions
+        .into_iter()
+        .filter(|a| !matches!(a, ChurnAction::Recover))
+        .collect();
+    actions.push(ChurnAction::Recover);
+    let plan = ChurnPlan::scripted(actions);
+    let crashes = plan
+        .actions
+        .iter()
+        .filter(|a| matches!(a, ChurnAction::Crash { .. }))
+        .count() as u64;
+    assert!(crashes >= 3, "only {crashes} crashes");
+    for kind in FAMILIES {
+        for (label, mut e) in deployments(kind, &topology) {
+            e.set_auto_recover(false);
+            let done = run_plan_checked(e.as_mut(), &topology, &plan);
+            assert_eq!(done.points, 1, "{label}");
+            assert_eq!(e.recovery_stats().recoveries, crashes, "{label}");
+        }
+    }
+}
+
+/// The repo benchmark's `churn_mix` plan shape — a balanced binary tree,
+/// 24 initial sensors, interior crashes with recovery, moves, four
+/// readings per action and full teardown — replayed through all five
+/// engines, every advertising one held to the routing truth after each
+/// recovery. Naive, operator placement and multi-join must deliver
+/// exactly the centralized baseline's log (per-subscription units and the
+/// complex count); FSF stays inside it; teardown leaves nothing behind.
+fn assert_churn_shape_equivalence(nodes: usize, churn_actions: usize) {
+    let topology = builders::balanced(nodes, 2);
+    let plan = ChurnPlan::seeded(
+        &topology,
+        &ChurnPlanConfig {
+            initial_sensors: 24,
+            churn_actions,
+            events_per_action: 4,
+            with_crashes: true,
+            crash_interior: true,
+            with_moves: true,
+            ..ChurnPlanConfig::default()
+        },
+    )
+    .with_teardown();
+    let subs: Vec<SubId> = plan
+        .actions
+        .iter()
+        .filter_map(|a| match a {
+            ChurnAction::Subscribe { sub, .. } => Some(sub.id()),
+            _ => None,
+        })
+        .collect();
+    let runs: Vec<(EngineKind, Box<dyn Engine>)> = EngineKind::ALL
+        .iter()
+        .map(|&kind| {
+            let mut e = kind
+                .builder(topology.clone())
+                .validity(2 * ChurnPlanConfig::default().delta_t)
+                .seed(42)
+                .build();
+            let done = run_plan_checked(e.as_mut(), &topology, &plan);
+            if kind != EngineKind::Centralized {
+                assert!(done.counted_crashes > 0, "{kind}: no crash was counted");
+            }
+            assert!(leaks(e.as_mut()).is_empty(), "{kind}: teardown leaked");
+            (kind, e)
+        })
+        .collect();
+    let (_, central) = &runs[0];
+    let expected = central.deliveries();
+    assert!(
+        expected.total_event_units() > 0,
+        "the plan delivered nothing"
+    );
+    for (kind, e) in &runs[1..] {
+        let log = e.deliveries();
+        eprintln!(
+            "{nodes} nodes, {churn_actions} actions, {kind}: {} units, {} complex, {} recovery msgs",
+            log.total_event_units(),
+            log.complex_deliveries(),
+            e.recovery_stats().repair_msgs
+        );
+        if *kind == EngineKind::FilterSplitForward {
+            for &sub in &subs {
+                assert!(
+                    difference(log.delivered(sub), expected.delivered(sub))
+                        .next()
+                        .is_none(),
+                    "FSF delivered outside ground truth for {sub:?}"
+                );
+            }
+        } else {
+            assert_eq!(
+                log, expected,
+                "{kind} diverged from the centralized baseline"
+            );
+        }
+    }
+}
+
+/// A reduced `churn_mix` shape, fast enough for a debug build.
+#[test]
+fn churn_shape_keeps_five_engine_equivalence() {
+    assert_churn_shape_equivalence(255, 300);
+}
+
+/// `churn_mix` at full size: 511 nodes, 1 200 actions. Optimised builds
+/// only (the CI recovery job runs it); a debug build takes minutes.
+#[cfg(not(debug_assertions))]
+#[test]
+fn churn_mix_scale_keeps_five_engine_equivalence() {
+    assert_churn_shape_equivalence(511, 1_200);
 }

@@ -101,53 +101,59 @@ fn flooded_engine_parks_but_delivers_everything() {
     }
 }
 
-/// Host-level check with a real engine message type: capacity-1 mailboxes
-/// under an event flood must record sender parks (the backpressure path
-/// actually ran) and still lose nothing.
+/// Host-level check with a real engine message type, in both host modes:
+/// capacity-1 mailboxes under an event flood must record sender parks (the
+/// backpressure path actually ran) and still lose nothing.
 #[test]
 fn capacity_one_mailboxes_record_parks_not_drops() {
-    let ledger = with_watchdog("host flood", || {
-        let topology = builders::line(6);
-        let config = PubSubConfig::naive(10_000, 7);
-        let host: NodeHost<PubSubNode> = NodeHost::spawn(
-            &topology,
-            &HostConfig {
-                mode: HostMode::Executor { workers: 2 },
-                mailbox: 1,
-                latency: LatencyModel::Zero,
-            },
-            |id, _| PubSubNode::new(id, config),
-        );
-        host.inject(NodeId(0), &PubSubMsg::SensorUp(adv(1)), 0);
-        host.wait_quiescent();
-        let sub =
-            Subscription::identified(SubId(1), [(SensorId(1), ValueRange::new(0.0, 2.0))], 5_000)
-                .expect("valid subscription");
-        host.inject(NodeId(5), &PubSubMsg::Subscribe(sub), 0);
-        host.wait_quiescent();
-        for i in 0..FLOOD {
-            host.inject(NodeId(0), &PubSubMsg::Publish(reading(i, 1)), i);
-        }
-        host.wait_quiescent();
-        let ledger = host.ledger();
-        let (_, deliveries) = host.shutdown();
+    for mode in [HostMode::ThreadPerNode, HostMode::Executor { workers: 2 }] {
+        let label = format!("host flood {mode:?}");
+        let ledger = with_watchdog(&label, move || {
+            let topology = builders::line(6);
+            let config = PubSubConfig::naive(10_000, 7);
+            let host: NodeHost<PubSubNode> = NodeHost::spawn(
+                &topology,
+                &HostConfig {
+                    mode,
+                    mailbox: 1,
+                    latency: LatencyModel::Zero,
+                },
+                |id, _| PubSubNode::new(id, config),
+            );
+            host.inject(NodeId(0), &PubSubMsg::SensorUp(adv(1)), 0);
+            host.wait_quiescent();
+            let sub = Subscription::identified(
+                SubId(1),
+                [(SensorId(1), ValueRange::new(0.0, 2.0))],
+                5_000,
+            )
+            .expect("valid subscription");
+            host.inject(NodeId(5), &PubSubMsg::Subscribe(sub), 0);
+            host.wait_quiescent();
+            for i in 0..FLOOD {
+                host.inject(NodeId(0), &PubSubMsg::Publish(reading(i, 1)), i);
+            }
+            host.wait_quiescent();
+            let ledger = host.ledger();
+            let (_, deliveries) = host.shutdown();
+            assert_eq!(
+                deliveries.delivered(SubId(1)).len(),
+                FLOOD as usize,
+                "{mode:?}: flood deliveries incomplete"
+            );
+            ledger
+        });
+        assert!(ledger.parks > 0, "{label}: flood never parked a sender");
         assert_eq!(
-            deliveries.delivered(SubId(1)).len(),
-            FLOOD as usize,
-            "flood deliveries incomplete"
+            ledger.dropped_to_downed, 0,
+            "{label}: frames dropped with no node down"
         );
-        ledger
-    });
-    assert!(ledger.parks > 0, "flood never parked a sender");
-    assert_eq!(
-        ledger.dropped_to_downed, 0,
-        "frames dropped with no node down"
-    );
-    assert_eq!(
-        ledger.scheduled,
-        ledger.handled + ledger.dropped_to_downed,
-        "conservation ledger does not reconcile"
-    );
+        assert_eq!(
+            ledger.scheduled,
+            ledger.handled + ledger.dropped_to_downed,
+            "{label}: conservation ledger does not reconcile"
+        );
+    }
 }
 
 /// Crashing a node mid-stream must account every in-flight frame to the

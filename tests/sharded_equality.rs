@@ -151,7 +151,13 @@ fn sharded_backends_match_the_oracle_on_flushed_replays() {
                         if kind != EngineKind::FilterSplitForward {
                             assert_eq!(e.steps(), oracle.steps(), "{ctx}: step count diverged");
                             assert_eq!(e.now(), oracle.now(), "{ctx}: clock diverged");
+                            assert_eq!(e.stats(), oracle.stats(), "{ctx}: traffic diverged");
                         }
+                        assert_eq!(
+                            e.deliveries().latency_samples().len(),
+                            oracle.deliveries().latency_samples().len(),
+                            "{ctx}: latency samples diverged"
+                        );
                         assert_conserved(e.as_ref(), &ctx);
                         assert_eq!(e.queue_depth(), 0, "{ctx}: not quiescent");
                         assert!(
@@ -209,7 +215,13 @@ fn sharded_backends_match_the_oracle_on_timed_replays() {
                         // same-tick-order-sensitive
                         if kind != EngineKind::FilterSplitForward {
                             assert_eq!(e.steps(), oracle.steps(), "{ctx}: step count diverged");
+                            assert_eq!(e.stats(), oracle.stats(), "{ctx}: traffic diverged");
                         }
+                        assert_eq!(
+                            e.deliveries().latency_samples().len(),
+                            oracle.deliveries().latency_samples().len(),
+                            "{ctx}: latency samples diverged"
+                        );
                         assert_conserved(e.as_ref(), &ctx);
                         assert_eq!(e.queue_depth(), 0, "{ctx}: not quiescent");
                     }

@@ -7,7 +7,9 @@
 //! Replays one seeded churn plan (teardown included) through two engines
 //! built with `Deploy::Async`: the exact Naive baseline as ground truth and
 //! Filter-Split-Forward as the candidate, and prints FSF's recall and
-//! delivery-latency percentiles.
+//! delivery-latency percentiles. Per engine it also names the three nodes
+//! that handled the most frames and the three that parked most often, from
+//! each node's own host ledger row.
 //!
 //! The binary fails (exit 1) when the conservation ledger of either engine
 //! does not reconcile at quiescence, when teardown leaks state, when FSF
@@ -55,7 +57,24 @@ fn run_async(
     if !leaked.is_empty() {
         return Err(format!("{}: teardown leaked: {leaked:?}", kind.name()));
     }
+    let rows = engine.node_ledgers();
+    println!(
+        "{}: most frames handled {}; most parks {}",
+        kind.name(),
+        hottest(&rows, |row| row.handled),
+        hottest(&rows, |row| row.parks)
+    );
     Ok(engine)
+}
+
+/// The (at most) three rows with the highest nonzero `count`, as
+/// `[n<id> <count>, …]`, ties in id order.
+fn hottest<T>(rows: &[T], count: impl Fn(&T) -> u64) -> String {
+    let mut ids: Vec<usize> = (0..rows.len()).filter(|&id| count(&rows[id]) > 0).collect();
+    ids.sort_by_key(|&id| std::cmp::Reverse(count(&rows[id])));
+    let row = |&id: &usize| format!("n{id} {}", count(&rows[id]));
+    let top: Vec<String> = ids.iter().take(3).map(row).collect();
+    format!("[{}]", top.join(", "))
 }
 
 fn main() -> ExitCode {

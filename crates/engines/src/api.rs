@@ -6,6 +6,7 @@ use fsf_model::{Advertisement, Event, SensorId, SubId, Subscription};
 use fsf_network::{
     DeliveryLog, LatencySummary, NodeId, RegraftDelta, Topology, TopologyError, TrafficStats,
 };
+use fsf_runtime::HostLedger;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One node's residual state, as reported by [`EngineIntrospect::footprint`] — the
@@ -436,6 +437,11 @@ pub trait EngineIntrospect {
     /// failure detector, sorted (empty unless
     /// [`EngineControl::set_liveness`] was used).
     fn suspicions(&self) -> Vec<(NodeId, NodeId)> {
+        Vec::new()
+    }
+    /// Each node's own host ledger row, in id order (empty off the async
+    /// host): which node handled, sent and parked the most.
+    fn node_ledgers(&self) -> Vec<HostLedger> {
         Vec::new()
     }
 }

@@ -27,7 +27,7 @@ use fsf_network::{
     Ctx, DeliveryLog, LatencyModel, LatencySummary, NodeId, RegraftDelta, Topology, TopologyError,
     TrafficStats,
 };
-use fsf_runtime::{HostConfig, HostMode, NodeHost};
+use fsf_runtime::{HostConfig, HostLedger, HostMode, NodeHost};
 
 /// An engine running its nodes on the production [`NodeHost`].
 pub(crate) struct AsyncEngine<P: Protocol> {
@@ -325,5 +325,8 @@ impl<P: Protocol> EngineIntrospect for AsyncEngine<P> {
     }
     fn suspicions(&self) -> Vec<(NodeId, NodeId)> {
         self.host.suspicions()
+    }
+    fn node_ledgers(&self) -> Vec<HostLedger> {
+        self.host.node_ledgers()
     }
 }

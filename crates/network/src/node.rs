@@ -134,8 +134,8 @@ impl<'a, M> Ctx<'a, M> {
 /// sorts and deduplicates the tail and folds each subscription's run into
 /// that subscription's sorted id list. The simulator settles at the end of
 /// every pump and every management-plane callback, and
-/// [`Self::drain_into`] / [`Self::merge`] settle the log they fill, so every
-/// log an engine hands out is settled. The readers ([`Self::delivered`],
+/// [`Self::drain_into`] settles the log it fills, so every log an engine
+/// hands out is settled. The readers ([`Self::delivered`],
 /// [`Self::subs`], [`Self::total_event_units`], `==`) assert that it is: a
 /// stale read panics instead of silently missing units. This is the
 /// settle-then-borrow rule of `fsf_subsumption::RangeIndex`.
@@ -160,11 +160,12 @@ pub struct DeliveryLog {
     /// injected constituent (the reading that completed the match).
     latencies: Vec<u64>,
     /// Deliveries recorded before any constituent's injection time was
-    /// locally known: the live hosts record into short-lived per-task logs
-    /// while injections register on the shared log. Each entry is
-    /// `(end, at)`, its constituents `pending_ids[previous end..end]`; it
-    /// resolves into a latency sample when [`Self::drain_into`] moves it
-    /// into a log holding the injection registry.
+    /// locally known: the live hosts' node tasks record into their own logs,
+    /// which hold no registry; injections register on the management
+    /// plane's log. Each entry is `(end, at)`, its constituents
+    /// `pending_ids[previous end..end]`; it resolves into a latency sample
+    /// when [`Self::drain_into`] moves it into the log holding the
+    /// injection registry.
     pending: Vec<(usize, u64)>,
     pending_ids: Vec<EventId>,
 }
@@ -313,9 +314,10 @@ impl DeliveryLog {
     /// samples, pending deliveries) into `target` and settle it, leaving
     /// injection times behind so future deliveries keep their latency
     /// anchor. Pending deliveries resolve against `target`'s registry on
-    /// the way in; the ones it cannot anchor stay pending there. The shards
-    /// queue drains its per-shard logs with this after every pump, and the
-    /// async engine drains the host's log into its own.
+    /// the way in; the ones it cannot anchor stay pending there. The
+    /// results move, so draining the same log twice adds nothing. Every
+    /// per-worker log folds through this: a shard's after every pump, a
+    /// host node task's after every handler and again at the host's reads.
     pub fn drain_into(&mut self, target: &mut DeliveryLog) {
         target.complex_deliveries += std::mem::take(&mut self.complex_deliveries);
         for (sub, ids) in self.per_sub.drain(..) {
@@ -330,22 +332,6 @@ impl DeliveryLog {
         }
         self.pending_ids.clear();
         target.settle();
-    }
-
-    /// Fold another log into this one (used by multi-executor runtimes).
-    ///
-    /// *Draining*: the other log's results — delivery count, per-sub sets,
-    /// latency samples and pending entries — move out, so merging the same
-    /// log twice is idempotent. (The old copying merge double-counted
-    /// latency samples when a host log with overlapping pending sets was
-    /// merged twice.) Only the injection registry stays behind in `other`:
-    /// it is keyed/or-inserted, so re-merging it cannot double anything,
-    /// and the source log keeps its latency anchor for later deliveries.
-    pub fn merge(&mut self, other: &mut DeliveryLog) {
-        for (&id, &at) in &other.injected_at {
-            self.injected_at.entry(id).or_insert(at);
-        }
-        other.drain_into(self);
     }
 }
 
@@ -433,43 +419,43 @@ mod tests {
     }
 
     #[test]
-    fn pending_latencies_resolve_when_merged_with_the_injection_registry() {
-        // the live hosts' shape: injections register on the shared log,
-        // deliveries record into a fresh per-task log that merges back
+    fn pending_latencies_resolve_when_drained_into_the_injection_registry() {
+        // the live hosts' shape: injections register on the management
+        // plane's log, deliveries record into a node task's own log that
+        // drains into it
         let mut shared = DeliveryLog::new();
         shared.note_injection(EventId(1), 100);
         shared.note_injection(EventId(2), 130);
         let mut local = DeliveryLog::new();
         local.record_at(SubId(1), &ComplexEvent::new(vec![ev(1), ev(2)]), 142);
         assert!(local.latency_samples().is_empty(), "no local registry yet");
-        shared.merge(&mut local);
+        local.drain_into(&mut shared);
         assert_eq!(shared.latency_samples(), &[12]);
         // a delivery whose constituents were never registered stays
-        // sample-less even after the merge
+        // sample-less even after the drain
         let mut stray = DeliveryLog::new();
         stray.record_at(SubId(1), &ComplexEvent::new(vec![ev(9)]), 500);
-        shared.merge(&mut stray);
+        stray.drain_into(&mut shared);
         assert_eq!(shared.latency_samples(), &[12]);
         assert_eq!(shared.complex_deliveries(), 2);
     }
 
     #[test]
-    fn merging_the_same_host_log_twice_is_idempotent() {
-        // regression: the copying merge double-counted latency samples and
-        // deliveries when a host log was merged twice (its pending entries
-        // overlapped with the already-resolved set)
+    fn draining_the_same_host_log_twice_is_idempotent() {
+        // a host node task's log drained twice (as after every handler)
+        // must not double-count latency samples or deliveries
         let mut shared = DeliveryLog::new();
         shared.note_injection(EventId(1), 100);
         let mut local = DeliveryLog::new();
         local.record_at(SubId(1), &ComplexEvent::new(vec![ev(1)]), 110);
         local.record_at(SubId(1), &ComplexEvent::new(vec![ev(7)]), 120); // stays pending
-        shared.merge(&mut local);
+        local.drain_into(&mut shared);
         assert_eq!(shared.complex_deliveries(), 2);
         assert_eq!(shared.latency_samples(), &[10]);
-        // the merge drained the local results…
+        // the drain moved the local results…
         assert_eq!(local.complex_deliveries(), 0);
-        // …so a second merge of the same log changes nothing
-        shared.merge(&mut local);
+        // …so a second drain of the same log changes nothing
+        local.drain_into(&mut shared);
         assert_eq!(shared.complex_deliveries(), 2);
         assert_eq!(shared.latency_samples(), &[10]);
         assert_eq!(shared.delivered(SubId(1)).len(), 2);
@@ -529,13 +515,6 @@ mod tests {
                 target.sample(ids, at);
             }
         }
-
-        fn merge(&mut self, other: &mut Model) {
-            for (&id, &at) in &other.injected_at {
-                self.injected_at.entry(id).or_insert(at);
-            }
-            other.drain_into(self);
-        }
     }
 
     /// Everything a settled log reports matches the model, and the log
@@ -566,8 +545,8 @@ mod tests {
     /// Seeded interleavings of every mutation on two logs (a shared one
     /// and a per-task one), against the naive model: repeated units,
     /// ids arriving out of order, deliveries with unregistered
-    /// constituents, settles at random points, a merge followed by a
-    /// second merge of the same log, and drains either way.
+    /// constituents, settles at random points, a drain followed by a
+    /// second drain of the same log, and drains either way.
     #[test]
     fn columnar_log_matches_the_naive_model_under_random_interleavings() {
         for seed in 0..24u64 {
@@ -608,11 +587,11 @@ mod tests {
                         let (log, other) = pair(&mut logs, i);
                         let (twin, twin_other) = pair(&mut twins, i);
                         let (model, model_other) = pair(&mut models, i);
-                        // twice: the second merge of a drained log is a no-op
+                        // twice: the second drain of a drained log is a no-op
                         for _ in 0..2 {
-                            log.merge(other);
-                            twin.merge(twin_other);
-                            model.merge(model_other);
+                            other.drain_into(log);
+                            twin_other.drain_into(twin);
+                            model_other.drain_into(model);
                             check(log, twin, model, &what);
                             check(other, twin_other, model_other, &what);
                         }

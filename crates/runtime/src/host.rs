@@ -21,7 +21,7 @@
 //!   [`crate::codec::WireMsg::coalesce`] (`Events` runs merge into one
 //!   frame; control messages never merge, preserving per-link FIFO).
 //!   Traffic is charged per original message, so [`TrafficStats`] stays
-//!   comparable; the ledger counts the saved frames.
+//!   comparable; the sender's ledger row counts the saved frames.
 //! * **Virtual timestamps.** Packets carry a logical `at`; each hop adds
 //!   the [`LatencyModel`] delay, so delivery latencies remain measurable
 //!   against the timed simulator's reference timeline even though
@@ -45,6 +45,15 @@
 //!   the last, in which every live node hears each neighbor that is up and
 //!   not cut off.
 //!
+//! **Books per node, folded at the read.** Each node task keeps its own
+//! traffic, deliveries and [`HostLedger`] row, and moves them into its own
+//! slot at the end of every handler. The management plane's slot holds the
+//! injection registry and what [`NodeHost::inject`] counts. Every read
+//! folds the slots, as the sharded simulator folds its shards at the round
+//! barrier: traffic and deliveries move into the management slot, and the
+//! ledger rows are summed ([`NodeHost::node_ledgers`] reads them one by
+//! one).
+//!
 //! The conservation ledger reconciles at quiescence:
 //! `scheduled == handled + dropped_to_downed + dropped_severed +
 //! dropped_malformed` — backpressure parks senders instead of dropping, a
@@ -65,7 +74,7 @@ use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 use std::task::{Context, Poll};
 
 /// How the node bodies execute.
@@ -138,6 +147,20 @@ pub struct HostLedger {
     pub coalesced_frames: u64,
 }
 
+impl std::ops::AddAssign for HostLedger {
+    fn add_assign(&mut self, row: HostLedger) {
+        self.scheduled += row.scheduled;
+        self.handled += row.handled;
+        self.dropped_to_downed += row.dropped_to_downed;
+        self.dropped_severed += row.dropped_severed;
+        self.dropped_malformed += row.dropped_malformed;
+        self.parks += row.parks;
+        self.wire_frames += row.wire_frames;
+        self.wire_bytes += row.wire_bytes;
+        self.coalesced_frames += row.coalesced_frames;
+    }
+}
+
 /// A control closure executed on a node's own task with a live [`Ctx`]
 /// (sends it makes are charged and delivered like any message).
 pub type ControlFn<B> =
@@ -159,25 +182,46 @@ enum Packet<B: NodeBehavior> {
     Stop,
 }
 
+/// One worker's books: the traffic it charged, what it delivered and its
+/// ledger row.
+#[derive(Default)]
+struct Books {
+    stats: TrafficStats,
+    deliveries: DeliveryLog,
+    ledger: HostLedger,
+}
+
+impl Books {
+    /// Move these books into `slot`. The guard lives for this call only, so
+    /// it is never held across an `.await`.
+    fn publish(&mut self, slot: &Mutex<Books>) {
+        let mut slot = slot.lock();
+        slot.stats.merge(&std::mem::take(&mut self.stats));
+        self.deliveries.drain_into(&mut slot.deliveries);
+        slot.ledger += std::mem::take(&mut self.ledger);
+    }
+}
+
 struct HostShared {
-    stats: Mutex<TrafficStats>,
-    deliveries: Mutex<DeliveryLog>,
+    /// One slot per node, in id order. A node task locks only its own.
+    slots: Vec<Mutex<Books>>,
+    /// The management plane's slot: the injection registry, what `inject`
+    /// counts, and the traffic and deliveries folded out of `slots`.
+    management: Mutex<Books>,
     /// Messages injected or sent but not yet fully processed; 0 ⇒ quiescent.
+    /// `SeqCst`: this is the quiescence proof — a handler registers its
+    /// sends and publishes its books before its decrement, so a zero read
+    /// sees all of them.
     pending: AtomicI64,
     topology: Mutex<Arc<Topology>>,
+    /// Release/Acquire: a task that reads a node down also reads the
+    /// regrafted topology stored before it.
     down: Vec<AtomicBool>,
     latency: LatencyModel,
     /// High-water logical packet timestamp observed by any handler.
+    /// `Relaxed`: each bump precedes its handler's `pending` decrement, so
+    /// a read after [`NodeHost::wait_quiescent`]'s `SeqCst` load sees it.
     clock: AtomicU64,
-    scheduled: AtomicU64,
-    handled: AtomicU64,
-    dropped_to_downed: AtomicU64,
-    dropped_severed: AtomicU64,
-    dropped_malformed: AtomicU64,
-    parks: AtomicU64,
-    wire_frames: AtomicU64,
-    wire_bytes: AtomicU64,
-    coalesced_frames: AtomicU64,
     liveness: Mutex<Option<Detector>>,
 }
 
@@ -226,66 +270,47 @@ where
     ) -> Self {
         let n = topology.len();
         let shared = Arc::new(HostShared {
-            stats: Mutex::new(TrafficStats::new()),
-            deliveries: Mutex::new(DeliveryLog::new()),
+            slots: (0..n).map(|_| Mutex::default()).collect(),
+            management: Mutex::default(),
             pending: AtomicI64::new(0),
             topology: Mutex::new(Arc::new(topology.clone())),
             down: (0..n).map(|_| AtomicBool::new(false)).collect(),
             latency: config.latency.clone(),
             clock: AtomicU64::new(0),
-            scheduled: AtomicU64::new(0),
-            handled: AtomicU64::new(0),
-            dropped_to_downed: AtomicU64::new(0),
-            dropped_severed: AtomicU64::new(0),
-            dropped_malformed: AtomicU64::new(0),
-            parks: AtomicU64::new(0),
-            wire_frames: AtomicU64::new(0),
-            wire_bytes: AtomicU64::new(0),
-            coalesced_frames: AtomicU64::new(0),
             liveness: Mutex::new(None),
         });
-        let mut txs = Vec::with_capacity(n);
-        let mut rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = mpsc::channel(config.mailbox.max(1));
-            txs.push(tx);
-            rxs.push(rx);
-        }
+        let (txs, rxs): (Vec<_>, Vec<_>) =
+            (0..n).map(|_| mpsc::channel(config.mailbox.max(1))).unzip();
         let txs_shared = Arc::new(txs.clone());
-        let running = match config.mode {
-            HostMode::ThreadPerNode => {
-                let mut handles = Vec::with_capacity(n);
-                for (idx, rx) in rxs.into_iter().enumerate() {
-                    let id = NodeId(idx as u32);
-                    let node = make_node(id, topology);
-                    let txs = Arc::clone(&txs_shared);
-                    let shared = Arc::clone(&shared);
-                    handles.push(
-                        std::thread::Builder::new()
-                            .name(format!("fsf-node-{idx}"))
-                            .spawn(move || {
-                                miniloop::block_on(node_task(id, node, rx, txs, shared));
-                            })
-                            .expect("spawn node thread"),
-                    );
-                }
-                Running::Threads(handles)
+        let tasks = rxs.into_iter().enumerate().map(|(idx, rx)| {
+            let id = NodeId(idx as u32);
+            NodeTask {
+                id,
+                node: make_node(id, topology),
+                rx,
+                txs: Arc::clone(&txs_shared),
+                shared: Arc::clone(&shared),
+                staging: VecDeque::new(),
+                outbox: Vec::new(),
+                books: Books::default(),
             }
+        });
+        let running = match config.mode {
+            HostMode::ThreadPerNode => Running::Threads(
+                tasks
+                    .map(|task| {
+                        std::thread::Builder::new()
+                            .name(format!("fsf-node-{}", task.id.0))
+                            .spawn(move || miniloop::block_on(task.run()))
+                            .expect("spawn node thread")
+                    })
+                    .collect(),
+            ),
             HostMode::Executor { workers } => {
                 let rt = miniloop::Builder::new_multi_thread()
                     .worker_threads(workers)
                     .build();
-                let tasks = rxs
-                    .into_iter()
-                    .enumerate()
-                    .map(|(idx, rx)| {
-                        let id = NodeId(idx as u32);
-                        let node = make_node(id, topology);
-                        let txs = Arc::clone(&txs_shared);
-                        let shared = Arc::clone(&shared);
-                        rt.spawn(node_task(id, node, rx, txs, shared))
-                    })
-                    .collect();
+                let tasks = tasks.map(|task| rt.spawn(task.run())).collect();
                 Running::Executor { tasks, rt }
             }
         };
@@ -301,29 +326,32 @@ where
     /// `dropped_to_downed`, mirroring the simulator. Backpressure applies:
     /// a full mailbox parks the *calling thread* until the node drains.
     pub fn inject(&self, node: NodeId, msg: &B::Msg, at: u64) {
-        self.shared.scheduled.fetch_add(1, Ordering::SeqCst);
+        let mut books = self.shared.management.lock();
+        books.ledger.scheduled += 1;
         if self.shared.is_down(node) {
-            self.shared.dropped_to_downed.fetch_add(1, Ordering::SeqCst);
+            books.ledger.dropped_to_downed += 1;
             return;
         }
+        drop(books);
         let frame = msg.to_frame();
         self.shared.pending.fetch_add(1, Ordering::SeqCst);
-        if self.txs[node.0 as usize]
-            .blocking_send(Packet::Wire {
-                from: node,
-                at,
-                frame,
-            })
-            .is_err()
-        {
-            panic!("inject into a stopped node task");
-        }
+        let sent = self.txs[node.0 as usize].blocking_send(Packet::Wire {
+            from: node,
+            at,
+            frame,
+        });
+        assert!(sent.is_ok(), "inject into a stopped node task");
     }
 
-    /// Record an event injection time in the shared delivery log (feeds
-    /// the latency percentiles).
+    /// Record an event injection time in the management plane's delivery
+    /// log, the one holding the injection registry (feeds the latency
+    /// percentiles).
     pub fn note_injection(&self, event: EventId, at: u64) {
-        self.shared.deliveries.lock().note_injection(event, at);
+        self.shared
+            .management
+            .lock()
+            .deliveries
+            .note_injection(event, at);
     }
 
     /// Block until no message is queued or being processed anywhere.
@@ -348,22 +376,15 @@ where
         if self.shared.is_down(anchor) {
             return Err(TopologyError::BadEdge(node.0, anchor.0));
         }
-        let new_topology;
-        let delta;
-        {
+        let (new_topology, delta) = {
             let mut topo = self.shared.topology.lock();
-            let (t, d) = topo.regraft_with_delta(node, anchor)?;
-            new_topology = Arc::new(t);
-            delta = d;
-            *topo = Arc::clone(&new_topology);
-        }
+            let (t, delta) = topo.regraft_with_delta(node, anchor)?;
+            *topo = Arc::new(t);
+            (Arc::clone(&topo), delta)
+        };
         self.shared.down[node.0 as usize].store(true, Ordering::Release);
         // every survivor refreshes routing state against the new snapshot
-        let ids: Vec<NodeId> = (0..self.txs.len() as u32).map(NodeId).collect();
-        for id in ids {
-            if self.shared.is_down(id) {
-                continue;
-            }
+        for id in self.live_nodes() {
             let topo = Arc::clone(&new_topology);
             self.with_node(
                 id,
@@ -379,11 +400,7 @@ where
     /// order, with a live [`Ctx`] — its repair sends are charged and
     /// delivered like any traffic (flush afterwards to drain them).
     pub fn run_recovery(&self, delta: &RegraftDelta, at: u64) {
-        for idx in 0..self.txs.len() {
-            let id = NodeId(idx as u32);
-            if self.shared.is_down(id) {
-                continue;
-            }
+        for id in self.live_nodes() {
             let delta = delta.clone();
             self.with_node(
                 id,
@@ -404,19 +421,17 @@ where
             "control message to downed node n{}",
             id.0
         );
-        let (ack_tx, ack_rx) = std::sync::mpsc::channel();
+        let (ack, acked) = std::sync::mpsc::channel();
         self.shared.pending.fetch_add(1, Ordering::SeqCst);
-        if self.txs[id.0 as usize]
-            .blocking_send(Packet::Ctl {
-                run,
-                at,
-                ack: ack_tx,
-            })
-            .is_err()
-        {
-            panic!("control message to a stopped node task");
-        }
-        ack_rx.recv().expect("node task alive for ack");
+        let sent = self.txs[id.0 as usize].blocking_send(Packet::Ctl { run, at, ack });
+        assert!(sent.is_ok(), "control message to a stopped node task");
+        acked.recv().expect("node task alive for ack");
+    }
+
+    /// The nodes not marked down, in id order.
+    fn live_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let ids = (0..self.txs.len() as u32).map(NodeId);
+        ids.filter(|&id| !self.shared.is_down(id))
     }
 
     /// Sever the link between the adjacent nodes `a` and `b`: frames
@@ -535,29 +550,46 @@ where
     /// Snapshot of the accumulated traffic counters.
     #[must_use]
     pub fn stats(&self) -> TrafficStats {
-        self.shared.stats.lock().clone()
+        self.fold().stats.clone()
     }
 
-    /// Move the deliveries merged since the last call into `target` (see
+    /// Move the deliveries made since the last call into `target` (see
     /// [`DeliveryLog::drain_into`]); the injection registry stays here.
     pub fn drain_deliveries_into(&self, target: &mut DeliveryLog) {
-        self.shared.deliveries.lock().drain_into(target);
+        self.fold().deliveries.drain_into(target);
     }
 
-    /// Snapshot of the conservation ledger.
+    /// Every node's traffic and deliveries moved into the management
+    /// plane's slot (pending latencies resolve against its injection
+    /// registry on the way); the ledger rows stay per node.
+    fn fold(&self) -> MutexGuard<'_, Books> {
+        let mut books = self.shared.management.lock();
+        for slot in &self.shared.slots {
+            let mut slot = slot.lock();
+            books.stats.merge(&std::mem::take(&mut slot.stats));
+            slot.deliveries.drain_into(&mut books.deliveries);
+        }
+        books
+    }
+
+    /// Snapshot of the conservation ledger: every node's row plus the
+    /// management plane's.
     #[must_use]
     pub fn ledger(&self) -> HostLedger {
-        HostLedger {
-            scheduled: self.shared.scheduled.load(Ordering::SeqCst),
-            handled: self.shared.handled.load(Ordering::SeqCst),
-            dropped_to_downed: self.shared.dropped_to_downed.load(Ordering::SeqCst),
-            dropped_severed: self.shared.dropped_severed.load(Ordering::SeqCst),
-            dropped_malformed: self.shared.dropped_malformed.load(Ordering::SeqCst),
-            parks: self.shared.parks.load(Ordering::SeqCst),
-            wire_frames: self.shared.wire_frames.load(Ordering::SeqCst),
-            wire_bytes: self.shared.wire_bytes.load(Ordering::SeqCst),
-            coalesced_frames: self.shared.coalesced_frames.load(Ordering::SeqCst),
+        let mut ledger = self.shared.management.lock().ledger;
+        for slot in &self.shared.slots {
+            ledger += slot.lock().ledger;
         }
+        ledger
+    }
+
+    /// Each node's own ledger row, in id order: what it handled, sent,
+    /// batched, parked on and dropped. Injections count in the management
+    /// plane's row, which [`Self::ledger`] adds to these.
+    #[must_use]
+    pub fn node_ledgers(&self) -> Vec<HostLedger> {
+        let slots = self.shared.slots.iter();
+        slots.map(|slot| slot.lock().ledger).collect()
     }
 
     /// Messages accepted but not yet fully processed (0 at quiescence).
@@ -569,7 +601,7 @@ where
     /// High-water logical packet timestamp any handler has observed.
     #[must_use]
     pub fn clock(&self) -> u64 {
-        self.shared.clock.load(Ordering::SeqCst)
+        self.shared.clock.load(Ordering::Relaxed)
     }
 
     /// Stop every node (including idle corpses) and return the final
@@ -577,9 +609,8 @@ where
     pub fn shutdown(mut self) -> (TrafficStats, DeliveryLog) {
         self.wait_quiescent();
         self.stop_and_join();
-        let stats = self.shared.stats.lock().clone();
-        let deliveries = std::mem::take(&mut *self.shared.deliveries.lock());
-        (stats, deliveries)
+        let books = std::mem::take(&mut *self.fold());
+        (books.stats, books.deliveries)
     }
 
     fn stop_and_join(&mut self) {
@@ -615,165 +646,132 @@ where
     }
 }
 
-/// The body every node runs, identical across both host modes.
-async fn node_task<B>(
+/// What every node runs, identical across both host modes.
+struct NodeTask<B: NodeBehavior> {
     id: NodeId,
-    mut node: B,
-    mut rx: mpsc::Receiver<Packet<B>>,
+    node: B,
+    rx: mpsc::Receiver<Packet<B>>,
     txs: Arc<Vec<mpsc::Sender<Packet<B>>>>,
     shared: Arc<HostShared>,
-) where
-    B: NodeBehavior + Send + 'static,
-    B::Msg: WireMsg + Send + 'static,
+    /// Packets drained out of the mailbox while this node was itself parked
+    /// on a full peer (see [`SendLinked`]); processed before new arrivals,
+    /// preserving per-link FIFO.
+    staging: VecDeque<Packet<B>>,
+    outbox: Vec<(NodeId, B::Msg, ChargeKind, u64)>,
+    /// Moved into this node's slot at the end of every handler.
+    books: Books,
+}
+
+impl<B: NodeBehavior> NodeTask<B>
+where
+    B::Msg: WireMsg,
 {
-    // Packets drained out of the mailbox while this node was itself
-    // parked on a full peer (see SendLinked); processed before new
-    // arrivals, preserving per-link FIFO.
-    let mut staging: VecDeque<Packet<B>> = VecDeque::new();
-    let mut outbox: Vec<(NodeId, B::Msg, ChargeKind, u64)> = Vec::new();
-    let mut local_deliveries = DeliveryLog::new();
-    loop {
-        let pkt = match staging.pop_front() {
-            Some(p) => p,
-            None => match rx.recv().await {
+    async fn run(mut self) {
+        loop {
+            let pkt = match self.staging.pop_front() {
                 Some(p) => p,
-                None => break,
-            },
-        };
-        match pkt {
-            Packet::Stop => break,
-            Packet::Ctl { run, at, ack } => {
-                let topo = shared.topology();
-                {
-                    let mut ctx = Ctx::external(
-                        id,
-                        topo.neighbors(id),
-                        at,
-                        &mut outbox,
-                        &mut local_deliveries,
-                    );
-                    run(&mut node, &mut ctx);
+                None => match self.rx.recv().await {
+                    Some(p) => p,
+                    None => break,
+                },
+            };
+            let (at, ack) = match pkt {
+                Packet::Stop => break,
+                Packet::Ctl { run, at, ack } => {
+                    self.handle(at, run);
+                    (at, Some(ack))
                 }
-                merge_deliveries(&shared, &mut local_deliveries);
-                flush_outbox(id, at, &mut outbox, &mut rx, &mut staging, &txs, &shared).await;
-                shared.pending.fetch_sub(1, Ordering::SeqCst);
+                Packet::Wire { from, at, frame } => {
+                    if let Some(msg) = B::Msg::from_frame(frame) {
+                        self.shared.clock.fetch_max(at, Ordering::Relaxed);
+                        self.handle(at, |node, ctx| node.on_message(from, msg, ctx));
+                        self.books.ledger.handled += 1;
+                    } else {
+                        self.books.ledger.dropped_malformed += 1;
+                    }
+                    (at, None)
+                }
+            };
+            self.flush(at).await;
+            self.books.publish(&self.shared.slots[self.id.0 as usize]);
+            // decrement only after our own sends were registered and our
+            // books published, so the pending count can never dip to zero
+            // early
+            self.shared.pending.fetch_sub(1, Ordering::SeqCst);
+            if let Some(ack) = ack {
                 let _ = ack.send(());
             }
-            Packet::Wire { from, at, frame } => {
-                let Some(msg) = B::Msg::from_frame(frame) else {
-                    shared.dropped_malformed.fetch_add(1, Ordering::SeqCst);
-                    shared.pending.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Run one handler body with a live [`Ctx`] on the current topology.
+    fn handle(&mut self, at: u64, body: impl FnOnce(&mut B, &mut Ctx<'_, B::Msg>)) {
+        let topo = self.shared.topology();
+        let (id, outbox, deliveries) = (self.id, &mut self.outbox, &mut self.books.deliveries);
+        body(
+            &mut self.node,
+            &mut Ctx::external(id, topo.neighbors(id), at, outbox, deliveries),
+        );
+    }
+
+    /// Charge, batch, encode and send one handler's outbox.
+    async fn flush(&mut self, at: u64) {
+        if self.outbox.is_empty() {
+            return;
+        }
+        let (id, books) = (self.id, &mut self.books);
+        // traffic is charged per original message, before batching — the
+        // counters stay comparable with the simulator's
+        for (to, _, kind, units) in &self.outbox {
+            books.stats.charge(*kind, id, *to, *units);
+        }
+        // per-link write batching: only *adjacent* frames to the same peer
+        // may merge, so a control message between two Events runs keeps its
+        // FIFO position on the link
+        let mut wire: Vec<(NodeId, B::Msg)> = Vec::with_capacity(self.outbox.len());
+        for (to, msg, _, _) in self.outbox.drain(..) {
+            if let Some((last_to, last_msg)) = wire.last_mut() {
+                if *last_to == to {
+                    match last_msg.coalesce(msg) {
+                        Ok(()) => books.ledger.coalesced_frames += 1,
+                        Err(back) => wire.push((to, back)),
+                    }
                     continue;
-                };
-                shared.clock.fetch_max(at, Ordering::SeqCst);
-                let topo = shared.topology();
-                {
-                    let mut ctx = Ctx::external(
-                        id,
-                        topo.neighbors(id),
-                        at,
-                        &mut outbox,
-                        &mut local_deliveries,
-                    );
-                    node.on_message(from, msg, &mut ctx);
-                }
-                merge_deliveries(&shared, &mut local_deliveries);
-                flush_outbox(id, at, &mut outbox, &mut rx, &mut staging, &txs, &shared).await;
-                shared.handled.fetch_add(1, Ordering::SeqCst);
-                // decrement only after our own sends were registered, so
-                // the pending count can never dip to zero early
-                shared.pending.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-    }
-}
-
-/// Fold a handler's deliveries into the shared log under its lock; the
-/// merge drains `local` and keeps its buffers for the next handler.
-fn merge_deliveries(shared: &HostShared, local: &mut DeliveryLog) {
-    if local.complex_deliveries() > 0 {
-        shared.deliveries.lock().merge(local);
-    }
-}
-
-/// Charge, batch, encode and send one handler's outbox.
-async fn flush_outbox<B>(
-    id: NodeId,
-    at: u64,
-    outbox: &mut Vec<(NodeId, B::Msg, ChargeKind, u64)>,
-    rx: &mut mpsc::Receiver<Packet<B>>,
-    staging: &mut VecDeque<Packet<B>>,
-    txs: &Arc<Vec<mpsc::Sender<Packet<B>>>>,
-    shared: &Arc<HostShared>,
-) where
-    B: NodeBehavior + Send + 'static,
-    B::Msg: WireMsg + Send + 'static,
-{
-    if outbox.is_empty() {
-        return;
-    }
-    // traffic is charged per original message, before batching — the
-    // counters stay comparable with the simulator's
-    {
-        let mut stats = shared.stats.lock();
-        for (to, _, kind, units) in outbox.iter() {
-            stats.charge(*kind, id, *to, *units);
-        }
-    }
-    // per-link write batching: only *adjacent* frames to the same peer may
-    // merge, so a control message between two Events runs keeps its FIFO
-    // position on the link
-    let mut wire: Vec<(NodeId, B::Msg)> = Vec::with_capacity(outbox.len());
-    for (to, msg, _, _) in outbox.drain(..) {
-        if let Some((last_to, last_msg)) = wire.last_mut() {
-            if *last_to == to {
-                match last_msg.coalesce(msg) {
-                    Ok(()) => {
-                        shared.coalesced_frames.fetch_add(1, Ordering::SeqCst);
-                        continue;
-                    }
-                    Err(back) => {
-                        wire.push((to, back));
-                        continue;
-                    }
                 }
             }
+            wire.push((to, msg));
         }
-        wire.push((to, msg));
-    }
-    let topo = shared.topology();
-    for (to, msg) in wire {
-        shared.scheduled.fetch_add(1, Ordering::SeqCst);
-        if shared.is_down(to) {
-            // charged above, dropped at the wire: the corpse cannot receive
-            shared.dropped_to_downed.fetch_add(1, Ordering::SeqCst);
-            continue;
+        let topo = self.shared.topology();
+        for (to, msg) in wire {
+            books.ledger.scheduled += 1;
+            if self.shared.is_down(to) {
+                // charged above, dropped at the wire: the corpse cannot receive
+                books.ledger.dropped_to_downed += 1;
+                continue;
+            }
+            if topo.is_severed(id, to) {
+                // charged above, died at the radio: the cut carries nothing
+                books.ledger.dropped_severed += 1;
+                continue;
+            }
+            let frame = msg.to_frame();
+            books.ledger.wire_frames += 1;
+            books.ledger.wire_bytes += frame.len() as u64;
+            self.shared.pending.fetch_add(1, Ordering::SeqCst);
+            let deliver_at = at + self.shared.latency.delay(id, to);
+            SendLinked {
+                tx: &self.txs[to.0 as usize],
+                rx: &mut self.rx,
+                staging: &mut self.staging,
+                parks: Some(&mut books.ledger.parks),
+                item: Some(Packet::Wire {
+                    from: id,
+                    at: deliver_at,
+                    frame,
+                }),
+            }
+            .await;
         }
-        if topo.is_severed(id, to) {
-            // charged above, died at the radio: the cut carries nothing
-            shared.dropped_severed.fetch_add(1, Ordering::SeqCst);
-            continue;
-        }
-        let frame = msg.to_frame();
-        shared.wire_frames.fetch_add(1, Ordering::SeqCst);
-        shared
-            .wire_bytes
-            .fetch_add(frame.len() as u64, Ordering::SeqCst);
-        shared.pending.fetch_add(1, Ordering::SeqCst);
-        let deliver_at = at + shared.latency.delay(id, to);
-        SendLinked {
-            tx: &txs[to.0 as usize],
-            rx,
-            staging,
-            shared,
-            item: Some(Packet::Wire {
-                from: id,
-                at: deliver_at,
-                frame,
-            }),
-            parked: false,
-        }
-        .await;
     }
 }
 
@@ -785,31 +783,17 @@ async fn flush_outbox<B>(
 /// mailbox — whichever fires re-polls. A parked node therefore always has
 /// an empty mailbox, which makes a cycle of mutually-blocked senders
 /// impossible.
-struct SendLinked<'a, B>
-where
-    B: NodeBehavior + Send + 'static,
-    B::Msg: WireMsg + Send + 'static,
-{
+struct SendLinked<'a, B: NodeBehavior> {
     tx: &'a mpsc::Sender<Packet<B>>,
     rx: &'a mut mpsc::Receiver<Packet<B>>,
     staging: &'a mut VecDeque<Packet<B>>,
-    shared: &'a Arc<HostShared>,
+    /// The sending task's own park counter, taken at the first park: one
+    /// send parks at most once.
+    parks: Option<&'a mut u64>,
     item: Option<Packet<B>>,
-    parked: bool,
 }
 
-impl<B> Unpin for SendLinked<'_, B>
-where
-    B: NodeBehavior + Send + 'static,
-    B::Msg: WireMsg + Send + 'static,
-{
-}
-
-impl<B> Future for SendLinked<'_, B>
-where
-    B: NodeBehavior + Send + 'static,
-    B::Msg: WireMsg + Send + 'static,
-{
+impl<B: NodeBehavior> Future for SendLinked<'_, B> {
     type Output = ();
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
@@ -840,9 +824,8 @@ where
             match this.tx.poll_ready(cx) {
                 Poll::Ready(_) => continue, // a slot freed while we drained
                 Poll::Pending => {
-                    if !this.parked {
-                        this.parked = true;
-                        this.shared.parks.fetch_add(1, Ordering::SeqCst);
+                    if let Some(parks) = this.parks.take() {
+                        *parks += 1;
                     }
                     return Poll::Pending;
                 }
@@ -948,6 +931,43 @@ mod tests {
     }
 
     #[test]
+    fn node_rows_and_the_management_row_sum_to_the_ledger() {
+        for mode in modes() {
+            let topo = builders::balanced(15, 2);
+            let config = HostConfig {
+                mode,
+                mailbox: 1,
+                latency: LatencyModel::Zero,
+            };
+            let host = NodeHost::spawn(&topo, &config, |_, _| Flood::default());
+            for i in 0..20u64 {
+                host.inject(NodeId((i % 15) as u32), &(100 + i), 0);
+            }
+            host.wait_quiescent();
+            host.crash_and_regraft(NodeId(14), NodeId(6), 0).unwrap();
+            host.inject(NodeId(14), &999, 0);
+            host.inject(NodeId(0), &1000, 0);
+            host.wait_quiescent();
+            let rows = host.node_ledgers();
+            assert_eq!(rows.len(), 15, "{mode:?}: one row per node");
+            let mut sum = host.shared.management.lock().ledger;
+            assert_eq!(sum.scheduled, 22, "{mode:?}: injections count once");
+            assert_eq!(sum.dropped_to_downed, 1, "{mode:?}: the corpse's");
+            for row in &rows {
+                sum += *row;
+            }
+            assert_eq!(sum, host.ledger(), "{mode:?}");
+            // each flood reaches all 15 nodes before the crash and the
+            // 14 survivors after it; the corpse's leaf parent still sends
+            // it the last flood, which dies at the wire
+            let handled: u64 = rows.iter().map(|r| r.handled).sum();
+            assert_eq!(handled, 20 * 15 + 14, "{mode:?}");
+            assert_eq!(rows[14].handled, 20, "{mode:?}: one frame per flood");
+            assert_eq!(rows[6].dropped_to_downed, 1, "{mode:?}: n6 to the corpse");
+        }
+    }
+
+    #[test]
     fn crash_marks_down_and_accounts_dropped_traffic() {
         let topo = builders::line(4);
         let config = HostConfig {
@@ -988,7 +1008,7 @@ mod tests {
             // straight into n1's mailbox, accounted the way `inject` is: a
             // frame cut short, and one with bytes past the message
             for frame in [&[0x01, 0x02, 0x03][..], &[0xEE; 13][..]] {
-                host.shared.scheduled.fetch_add(1, Ordering::SeqCst);
+                host.shared.management.lock().ledger.scheduled += 1;
                 host.shared.pending.fetch_add(1, Ordering::SeqCst);
                 let sent = host.txs[1].blocking_send(Packet::Wire {
                     from: NodeId(1),

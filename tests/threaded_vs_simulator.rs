@@ -3,9 +3,9 @@
 //!
 //! Two batteries live here:
 //!
-//! * the static check — every [`EngineKind`] under all three [`Deploy`]
-//!   modes on a static workload: the whole [`TrafficStats`] (per link, per
-//!   kind) and the delivered units;
+//! * the static checks — FSF and Naive on the threaded host, then every
+//!   [`EngineKind`] under all three [`Deploy`] modes, on a static workload:
+//!   the whole [`TrafficStats`] (per link, per kind) and the delivered units;
 //! * the three-way battery — every [`EngineKind`] built through the
 //!   [`EngineBuilder`] under all three [`Deploy`] modes (simulator,
 //!   thread-per-node, async executor), replaying identical seeded churn /
@@ -49,26 +49,52 @@ fn run_static(w: &Workload, kind: EngineKind, deploy: Deploy) -> (TrafficStats, 
     )
 }
 
-/// Every engine charges every link alike on both hosts as on the
-/// simulator. The complex-delivery count is left out: on a static run the
-/// host's arrival order can change how many complex events carry the same
-/// distinct units.
+/// `kind` charges every link alike under each of `deploys` as on the
+/// simulator, and delivers the same units. The complex-delivery count is
+/// left out: on a static run the host's arrival order can change how many
+/// complex events carry the same distinct units.
+fn assert_static_alike(cfg: &ScenarioConfig, kind: EngineKind, deploys: &[Deploy]) {
+    let w = Workload::generate(cfg);
+    let (sim_stats, sim_units) = run_static(&w, kind, Deploy::Simulator);
+    assert!(sim_units > 0, "{}/{kind}: delivered nothing", cfg.name);
+    for &deploy in deploys {
+        let (stats, units) = run_static(&w, kind, deploy);
+        let ctx = format!("{}/{kind}/{deploy:?}", cfg.name);
+        assert_eq!(stats, sim_stats, "{ctx}: traffic differs");
+        assert_eq!(units, sim_units, "{ctx}: delivered units differ");
+    }
+}
+
+#[test]
+fn threaded_fsf_matches_simulator_exactly() {
+    assert_static_alike(
+        &ScenarioConfig::tiny(),
+        EngineKind::FilterSplitForward,
+        &[Deploy::Threaded],
+    );
+}
+
+#[test]
+fn threaded_naive_matches_simulator_exactly() {
+    let mut cfg = ScenarioConfig::tiny();
+    cfg.batches = 2;
+    cfg.subs_per_batch = 5;
+    assert_static_alike(&cfg, EngineKind::Naive, &[Deploy::Threaded]);
+}
+
+/// Every engine charges every link alike on both hosts as on the simulator.
 #[test]
 fn static_runs_charge_every_link_alike_on_every_deployment() {
     let mut small = ScenarioConfig::small_scale();
     small.batches = 1;
     small.rounds_per_batch = 10;
     for cfg in [ScenarioConfig::tiny(), small] {
-        let w = Workload::generate(&cfg);
         for kind in EngineKind::ALL {
-            let (sim_stats, sim_units) = run_static(&w, kind, Deploy::Simulator);
-            assert!(sim_units > 0, "{}/{kind}: delivered nothing", cfg.name);
-            for deploy in [Deploy::Threaded, Deploy::Async { workers: 4 }] {
-                let (stats, units) = run_static(&w, kind, deploy);
-                let ctx = format!("{}/{kind}/{deploy:?}", cfg.name);
-                assert_eq!(stats, sim_stats, "{ctx}: traffic differs");
-                assert_eq!(units, sim_units, "{ctx}: delivered units differ");
-            }
+            assert_static_alike(
+                &cfg,
+                kind,
+                &[Deploy::Threaded, Deploy::Async { workers: 4 }],
+            );
         }
     }
 }
